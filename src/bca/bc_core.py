@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,18 @@ class BoundaryConditionSystem:
         """Endpoint-1 coefficient block."""
         return self.coeffs[:, self.m :]
 
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values and right singular vectors of ``coeffs``,
+        computed once per system; each consumer applies its own cutoff."""
+        _, sigma, vh = np.linalg.svd(self.coeffs)
+        return sigma, vh
+
+    def nullspace(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Orthonormal basis (as columns) of ``{x : C x = 0}``."""
+        sigma, vh = self._svd
+        return vh[numerics.svd_rank(sigma, tol) :].conj().T
+
 
 @dataclass(frozen=True)
 class NormalizedSystem:
@@ -77,7 +90,7 @@ def validate(
     system: BoundaryConditionSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> None:
     """Check that the rows are linearly independent (numerical rank m)."""
-    rank = numerics.numerical_rank(system.coeffs, tol)
+    rank = numerics.svd_rank(system._svd[0], tol)
     if rank < system.m:
         raise DependentRows(f"rows have numerical rank {rank} < {system.m}")
 
@@ -101,111 +114,49 @@ def row_order(row, zero_tol: float = DEFAULT_TOLERANCES.zero_tol) -> int:
     raise ZeroRow("all coefficients below zero tolerance")
 
 
-def _leading_pairs(rows: list[np.ndarray], m: int, indices: list[int], k: int) -> np.ndarray:
-    return np.array([[rows[i][k], rows[i][m + k]] for i in indices])
-
-
 def normalize(
-    system: BoundaryConditionSystem,
-    tol: TolerancePolicy = DEFAULT_TOLERANCES,
-    canonical: bool = False,
+    system: BoundaryConditionSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> NormalizedSystem:
     """Rewrite the system in minimal form, preserving its row span.
 
-    Rows are grouped by order; whenever the leading pairs inside an order
-    class are rank deficient, dependent rows are replaced by combinations
-    annihilating their leading pair (strictly lowering their order) and the
-    grouping is recomputed.  The loop terminates because the order sum
-    strictly decreases; a cap of ``m*m`` passes guards against float
-    cycling.  With ``canonical=True`` two-row classes are additionally
-    rotated so their leading pairs become (0, 1) and (1, 0).
+    Rows are scaled to unit largest entry, then one pass over the
+    derivative index k = m-1, ..., 0 builds the column rank profile: the
+    rows without an order vanish beyond k, and those whose (a_k, b_k)
+    pair is nonzero get order k when their pairs are linearly
+    independent.  Otherwise they are replaced by ``U* R`` (U from the SVD
+    of their pairs, so the row span is kept) with the entries beyond k,
+    all below tolerance, flushed: the first rank rows get order k and
+    the others, their order-k pair zeroed, wait for a lower k.  Rows
+    already in minimal form are left untouched.
     """
     validate(system, tol)
     m = system.m
-    rows = [r / float(np.abs(r).max()) for r in np.array(system.coeffs)]
-
-    for _ in range(m * m + 1):
-        try:
-            orders = [row_order(r, tol.zero_tol) for r in rows]
-        except ZeroRow as exc:
-            raise DependentRows("a row vanished during normalization") from exc
-        classes: dict[int, list[int]] = {}
-        for i, k in enumerate(orders):
-            classes.setdefault(k, []).append(i)
-
-        deficient = None
-        for k in sorted(classes, reverse=True):
-            indices = classes[k]
-            pairs = _leading_pairs(rows, m, indices, k)
-            rank = numerics.numerical_rank(pairs, tol)
-            if rank < len(indices):
-                deficient = (k, indices, pairs, rank)
-                break
-        if deficient is None:
-            break
-
-        k, indices, pairs, rank = deficient
-        magnitudes = np.abs(pairs).max(axis=1)
-        by_size = sorted(range(len(indices)), key=lambda t: -magnitudes[t])
-        if rank == 0:
-            # every leading pair is below tolerance: flush and re-derive orders
-            for i in indices:
-                rows[i][k] = 0.0
-                rows[i][m + k] = 0.0
+    rows = system.coeffs / np.abs(system.coeffs).max(axis=1, keepdims=True)
+    orders = np.full(m, -1)
+    derivative = np.arange(2 * m) % m  # derivative index of each column
+    for k in range(m - 1, -1, -1):
+        pending = np.flatnonzero(orders < 0)
+        pairs = rows[np.ix_(pending, [k, m + k])]
+        nonzero = np.abs(pairs).max(axis=1) > tol.zero_tol * np.abs(rows[pending]).max(axis=1)
+        active, pairs = pending[nonzero], pairs[nonzero]
+        if active.size == 0:
             continue
-        pivots = [by_size[0]]
-        if rank == 2:
-            anchor = pairs[by_size[0]]
-            denom = float((anchor @ anchor.conj()).real)
-            best, best_residual = None, -1.0
-            for t in by_size[1:]:
-                coeff = (pairs[t] @ anchor.conj()) / denom
-                residual = float(np.linalg.norm(pairs[t] - coeff * anchor))
-                if residual > best_residual:
-                    best, best_residual = t, residual
-            pivots.append(best)
-        pivot_matrix = pairs[pivots]
-        for t in by_size:
-            if t in pivots:
-                continue
-            combo, *_ = np.linalg.lstsq(pivot_matrix.T, pairs[t], rcond=None)
-            i = indices[t]
-            replacement = rows[i].copy()
-            for weight, p in zip(combo, pivots):
-                replacement = replacement - weight * rows[indices[p]]
-            replacement[k] = 0.0
-            replacement[m + k] = 0.0
-            top = float(np.abs(replacement).max())
-            if top <= 1e-13:
-                raise DependentRows("row annihilated during normalization")
-            rows[i] = replacement / top
-    else:
-        raise DependentRows("normalization failed to stabilize")
+        u, sigma, _ = np.linalg.svd(pairs)
+        rank = numerics.svd_rank(sigma, tol)
+        if rank < active.size:
+            mixed = u.conj().T @ rows[active]
+            mixed[:, derivative > k] = 0.0
+            mixed[rank:, derivative == k] = 0.0
+            rows[active] = mixed / np.abs(mixed).max(axis=1, keepdims=True)
+        orders[active[:rank]] = k
+    if np.any(orders < 0):
+        raise DependentRows("a row vanished during normalization")
 
-    orders = [row_order(r, tol.zero_tol) for r in rows]
     by_order = sorted(range(m), key=lambda i: (-orders[i], i))
-    rows = [rows[i] for i in by_order]
-    orders = [orders[i] for i in by_order]
-
-    if canonical:
-        position = 0
-        while position < m:
-            k = orders[position]
-            if position + 1 < m and orders[position + 1] == k:
-                pair_matrix = _leading_pairs(rows, m, [position, position + 1], k)
-                rotation = np.array([[0.0, 1.0], [1.0, 0.0]]) @ np.linalg.inv(pair_matrix)
-                stacked = rotation @ np.vstack([rows[position], rows[position + 1]])
-                rows[position] = stacked[0]
-                rows[position + 1] = stacked[1]
-                position += 2
-            else:
-                position += 1
-
-    base = BoundaryConditionSystem(m, np.array(rows))
-    leading = tuple(
-        (complex(rows[j][orders[j]]), complex(rows[j][m + orders[j]])) for j in range(m)
-    )
-    return NormalizedSystem(base=base, orders=tuple(orders), leading=leading)
+    rows = rows[by_order]
+    orders = tuple(int(orders[i]) for i in by_order)
+    leading = tuple((complex(row[k]), complex(row[m + k])) for row, k in zip(rows, orders))
+    return NormalizedSystem(base=BoundaryConditionSystem(m, rows), orders=orders, leading=leading)
 
 
 def orders_multiset(
@@ -227,14 +178,11 @@ def rank_profile_orders(
     """
     validate(system, tol)
     m = system.m
-    coeffs = system.coeffs
     count_above = [m]  # number of rows with order > t for t = -1..m-1
-    for t in range(m):
+    for t in range(m - 1):
         cols = list(range(t + 1, m)) + list(range(m + t + 1, 2 * m))
-        if not cols:
-            count_above.append(0)
-            continue
-        count_above.append(numerics.numerical_rank(coeffs[:, cols], tol))
+        count_above.append(numerics.numerical_rank(system.coeffs[:, cols], tol))
+    count_above.append(0)
     orders: list[int] = []
     for t in range(m):
         orders.extend([t] * (count_above[t] - count_above[t + 1]))

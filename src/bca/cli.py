@@ -13,11 +13,13 @@ Exit codes: 0 = ran and the verdict is in the report, 2 = invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -37,25 +39,15 @@ class FileFormatError(InvalidInput):
 # deterministic serialization
 
 
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON text with insertion-order keys and fixed float formatting."""
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, int):  # bool is an int
         return json.dumps(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, (str, Fraction)):
+        return json.dumps(str(obj))
     if isinstance(obj, (list, tuple)):
         items = [dumps_deterministic(v, indent) for v in obj]
         return "[" + ", ".join(items) + "]"
@@ -72,12 +64,11 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
 
 
 def _flatten_text(obj, prefix: str, lines: list[str]) -> None:
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _flatten_text(value, f"{prefix}{key}." if prefix else f"{key}.", lines)
+    if not isinstance(obj, dict):
+        lines.append(f"{prefix[:-1]} = {dumps_deterministic(obj)}")
         return
-    label = prefix[:-1]
-    lines.append(f"{label} = {dumps_deterministic(obj)}")
+    for key, value in obj.items():
+        _flatten_text(value, f"{prefix}{key}.", lines)
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -98,9 +89,7 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _parse_part(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
@@ -134,10 +123,21 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def parse_condition_data(data: dict) -> BoundaryConditionSystem:
-    if "m" not in data or not isinstance(data["m"], int) or data["m"] < 1:
+def _parse_order(data: dict) -> int:
+    m = data.get("m")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise FileFormatError("m: required positive integer")
-    m = data["m"]
+    return m
+
+
+def _parse_values(values, m: int, where: str) -> list[complex]:
+    if not isinstance(values, list) or len(values) != m:
+        raise FileFormatError(f"{where}: expected a list of {m} values")
+    return [_parse_complex(value, f"{where}[{k}]") for k, value in enumerate(values)]
+
+
+def parse_condition_data(data: dict) -> BoundaryConditionSystem:
+    m = _parse_order(data)
     conditions = data.get("conditions")
     if not isinstance(conditions, list) or len(conditions) != m:
         raise FileFormatError(f"conditions: expected a list of {m} rows")
@@ -146,121 +146,30 @@ def parse_condition_data(data: dict) -> BoundaryConditionSystem:
         where = f"conditions[{j}]"
         if not isinstance(row, dict):
             raise FileFormatError(f"{where}: expected an object with 'a' and 'b'")
-        for block, offset in (("a", 0), ("b", m)):
-            values = row.get(block)
-            if not isinstance(values, list) or len(values) != m:
-                raise FileFormatError(f"{where}.{block}: expected a list of {m} values")
-            for k, value in enumerate(values):
-                coeffs[j, offset + k] = _parse_complex(value, f"{where}.{block}[{k}]")
+        coeffs[j] = _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(
+            row.get("b"), m, f"{where}.b"
+        )
     return BoundaryConditionSystem(m, coeffs)
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:
-    if "m" not in data or not isinstance(data["m"], int) or data["m"] < 1:
-        raise FileFormatError("m: required positive integer")
-    m = data["m"]
+    m = _parse_order(data)
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
-    matrix = np.zeros((m, m), dtype=np.complex128)
-    for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise FileFormatError(f"V[{j}]: expected a list of {m} values")
-        for k, value in enumerate(row):
-            matrix[j, k] = _parse_complex(value, f"V[{j}][{k}]")
-    return contraction.ContractionParametrization(m=m, V=matrix)
+    matrix = [_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows)]
+    return contraction.ContractionParametrization(m=m, V=np.array(matrix, dtype=np.complex128))
 
 
 def system_to_conditions(system: BoundaryConditionSystem) -> list[dict]:
-    out = []
-    for j in range(system.m):
-        out.append(
-            {
-                "a": [_complex_pair(z) for z in system.a[j]],
-                "b": [_complex_pair(z) for z in system.b[j]],
-            }
-        )
-    return out
+    return [
+        {"a": [_complex_pair(z) for z in a], "b": [_complex_pair(z) for z in b]}
+        for a, b in zip(system.a, system.b)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _tolerances_dict(tol: TolerancePolicy) -> dict:
-    return {
-        "definiteness_tol": tol.definiteness_tol,
-        "rank_tol": tol.rank_tol,
-        "zero_tol": tol.zero_tol,
-    }
-
-
-def _thetas_dict(report: regularity.RegularityReport) -> dict:
-    return {
-        "parity": report.parity,
-        "theta_minus1": None
-        if report.theta_minus1 is None
-        else _complex_pair(report.theta_minus1),
-        "theta_0": _complex_pair(report.theta_0),
-        "theta_1": _complex_pair(report.theta_1),
-        "scale": report.scale,
-        "theta_minus1_nonzero": report.theta_minus1_nonzero,
-        "theta_0_nonzero": report.theta_0_nonzero,
-        "theta_1_nonzero": report.theta_1_nonzero,
-    }
-
-
-def _contraction_matrix(system: BoundaryConditionSystem, tol: TolerancePolicy):
-    con = contraction.to_contraction(system, tol)
-    # entries below 1e-12 are flushed for report readability only
-    return [
-        [_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V
-    ]
-
-
-def build_check_report(
-    system: BoundaryConditionSystem,
-    tol: TolerancePolicy,
-    samples: int,
-    seed: int,
-    digest: str,
-) -> dict:
-    normalized = bc_core.normalize(system, tol)
-    verdict = forms.dissipativity_verdict(system, tol)
-    reg = regularity.regularity_verdict(normalized, tol)
-    oracle = polyoracle.sample_dissipativity(system, samples, seed)
-    report = {
-        "tool": _TOOL,
-        "command": "check",
-        "input": {"digest": digest, "m": system.m},
-        "tolerances": _tolerances_dict(tol),
-        "samples": samples,
-        "seed": seed,
-        "orders": list(normalized.orders),
-        "verdicts": {
-            "dissipative": verdict.dissipative,
-            "selfadjoint": verdict.selfadjoint,
-            "regular": reg.regular,
-            "regular_strict": reg.regular_strict,
-        },
-        "gram_eigenvalues": [float(v) for v in verdict.gram_eigenvalues],
-        "thetas": _thetas_dict(reg),
-        "contraction": {
-            "m": system.m,
-            "V": _contraction_matrix(system, tol),
-        }
-        if verdict.dissipative
-        else None,
-        "oracle": {
-            "dissipativity": {
-                "samples": oracle.samples,
-                "seed": seed,
-                "all_nonnegative": oracle.all_nonnegative,
-                "min_value": oracle.min_value,
-            }
-        },
-    }
-    return report
 
 
 def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
@@ -284,135 +193,153 @@ def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
     return BoundaryConditionSystem(m, coeffs)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+@dataclasses.dataclass
+class _Subject:
+    """The input of one subcommand and the analyses a report shows of it,
+    each run on first use, so a report runs only what its sections need."""
+
+    args: argparse.Namespace
+    tol: TolerancePolicy
+
+    @cached_property
+    def system(self) -> BoundaryConditionSystem:
+        args = self.args
+        if args.command == "example":
+            if args.name != "odd-irregular":
+                raise FileFormatError(f"name: unknown example {args.name!r}")
+            return generate_odd_irregular(args.n)
+        data = _load_json(args.file)
+        if args.command == "from-contraction":
+            return contraction.from_contraction(parse_contraction_data(data), self.tol)
+        return parse_condition_data(data)
+
+    @cached_property
+    def normalized(self) -> bc_core.NormalizedSystem:
+        return bc_core.normalize(self.system, self.tol)
+
+    @cached_property
+    def diss(self) -> forms.DissipativityVerdict:
+        return forms.dissipativity_verdict(self.system, self.tol)
+
+    @cached_property
+    def reg(self) -> regularity.RegularityReport:
+        return regularity.regularity_verdict(self.normalized, self.tol)
+
+    @cached_property
+    def contraction_matrix(self) -> list | None:
+        """V as [re, im] pairs, None for a system that is not dissipative."""
+        if not self.diss.dissipative:
+            return None
+        con = contraction.to_contraction(self.system, self.tol)
+        # entries below 1e-12 are flushed for report readability only
+        return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]
 
 
-def _cmd_check(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    return build_check_report(system, tol, args.samples, args.seed, _file_digest(args.file))
+def _input_section(s: _Subject) -> dict:
+    m = s.system.m  # parses, and so rejects, the file before it is hashed
+    return {"input": {"digest": _file_digest(s.args.file), "m": m}}
 
 
-def _cmd_normalize(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    normalized = bc_core.normalize(system, tol)
+def _thetas_section(s: _Subject) -> dict:
+    """The regularity report without its verdicts, in field order."""
+    fields = dataclasses.asdict(s.reg)
+    del fields["regular"], fields["regular_strict"]
     return {
-        "m": system.m,
-        "conditions": system_to_conditions(normalized.base),
-        "orders": list(normalized.orders),
-        "tolerances": _tolerances_dict(tol),
+        "thetas": {
+            key: _complex_pair(value) if isinstance(value, complex) else value
+            for key, value in fields.items()
+        }
     }
 
 
-def _cmd_dissipative(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    verdict = forms.dissipativity_verdict(system, tol)
-    oracle = polyoracle.sample_dissipativity(system, args.samples, args.seed)
+def _oracle_section(s: _Subject) -> dict:
+    oracle = polyoracle.sample_dissipativity(s.system, s.args.samples, s.args.seed)
     return {
-        "tool": _TOOL,
-        "command": "dissipative",
-        "input": {"digest": _file_digest(args.file), "m": system.m},
-        "tolerances": _tolerances_dict(tol),
-        "verdicts": {
-            "dissipative": verdict.dissipative,
-            "selfadjoint": verdict.selfadjoint,
-        },
-        "gram_eigenvalues": [float(v) for v in verdict.gram_eigenvalues],
         "oracle": {
             "dissipativity": {
                 "samples": oracle.samples,
-                "seed": args.seed,
+                "seed": s.args.seed,
                 "all_nonnegative": oracle.all_nonnegative,
                 "min_value": oracle.min_value,
             }
-        },
+        }
     }
 
 
-def _cmd_selfadjoint(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    return {
-        "tool": _TOOL,
-        "command": "selfadjoint",
-        "input": {"digest": _file_digest(args.file), "m": system.m},
-        "tolerances": _tolerances_dict(tol),
-        "verdicts": {"selfadjoint": forms.selfadjoint_verdict(system, tol)},
-    }
-
-
-def _cmd_regular(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    normalized = bc_core.normalize(system, tol)
-    reg = regularity.regularity_verdict(normalized, tol)
-    return {
-        "tool": _TOOL,
-        "command": "regular",
-        "input": {"digest": _file_digest(args.file), "m": system.m},
-        "tolerances": _tolerances_dict(tol),
-        "orders": list(normalized.orders),
-        "verdicts": {"regular": reg.regular, "regular_strict": reg.regular_strict},
-        "thetas": _thetas_dict(reg),
-    }
-
-
-def _cmd_to_contraction(args, tol: TolerancePolicy) -> dict:
-    system = parse_condition_data(_load_json(args.file))
-    verdict = forms.dissipativity_verdict(system, tol)
-    report = {
-        "tool": _TOOL,
-        "command": "to-contraction",
-        "input": {"digest": _file_digest(args.file), "m": system.m},
-        "tolerances": _tolerances_dict(tol),
-        "dissipative": verdict.dissipative,
-        "m": system.m,
-        "V": _contraction_matrix(system, tol) if verdict.dissipative else None,
-    }
-    return report
-
-
-def _cmd_from_contraction(args, tol: TolerancePolicy) -> dict:
-    con = parse_contraction_data(_load_json(args.file))
-    system = contraction.from_contraction(con, tol)
-    verdict = forms.dissipativity_verdict(system, tol)
-    return {
-        "tool": _TOOL,
-        "command": "from-contraction",
-        "input": {"digest": _file_digest(args.file), "m": con.m},
-        "tolerances": _tolerances_dict(tol),
-        "m": system.m,
-        "conditions": system_to_conditions(system),
-        "verdicts": {
-            "dissipative": verdict.dissipative,
-            "selfadjoint": verdict.selfadjoint,
-        },
-    }
-
-
-def _cmd_verify(args, tol: TolerancePolicy) -> dict:
+def _identities_section(s: _Subject) -> dict:
+    args = s.args
     boundary = polyoracle.verify_boundary_form_identity(args.m, args.samples, args.seed)
     canonical = polyoracle.verify_canonical_identity(args.m, args.samples, args.seed)
     return {
-        "tool": _TOOL,
-        "command": "verify",
-        "m": args.m,
-        "samples": args.samples,
-        "seed": args.seed,
-        "boundary_form": {
-            "passed": boundary.passed,
-            "max_defect": boundary.max_defect,
-        },
-        "canonical_coordinates": {
-            "passed": canonical.passed,
-            "max_defect": canonical.max_defect,
-        },
+        "boundary_form": {"passed": boundary.passed, "max_defect": boundary.max_defect},
+        "canonical_coordinates": {"passed": canonical.passed, "max_defect": canonical.max_defect},
     }
 
 
-def _cmd_example(args, tol: TolerancePolicy) -> dict:
-    if args.name != "odd-irregular":
-        raise FileFormatError(f"name: unknown example {args.name!r}")
-    system = generate_odd_irregular(args.n)
-    return {"m": system.m, "conditions": system_to_conditions(system)}
+_SECTIONS = {
+    "header": lambda s: {"tool": _TOOL, "command": s.args.command},
+    "input": _input_section,
+    "tolerances": lambda s: {"tolerances": dataclasses.asdict(s.tol)},
+    "m": lambda s: {"m": s.args.m},
+    "sampling": lambda s: {"samples": s.args.samples, "seed": s.args.seed},
+    "orders": lambda s: {"orders": list(s.normalized.orders)},
+    "gram": lambda s: {"gram_eigenvalues": [float(v) for v in s.diss.gram_eigenvalues]},
+    "thetas": _thetas_section,
+    "contraction": lambda s: {
+        "contraction": {"m": s.system.m, "V": s.contraction_matrix} if s.diss.dissipative else None
+    },
+    "contraction-file": lambda s: {
+        "dissipative": s.diss.dissipative,
+        "m": s.system.m,
+        "V": s.contraction_matrix,
+    },
+    "oracle": _oracle_section,
+    "identities": _identities_section,
+    "conditions": lambda s: {"m": s.system.m, "conditions": system_to_conditions(s.system)},
+    "normalized": lambda s: {
+        "m": s.system.m,
+        "conditions": system_to_conditions(s.normalized.base),
+    },
+}
+_VERDICTS = {
+    "dissipative": lambda s: s.diss.dissipative,
+    "selfadjoint": lambda s: s.diss.selfadjoint,
+    "regular": lambda s: s.reg.regular,
+    "regular_strict": lambda s: s.reg.regular_strict,
+}
+# The sections of each subcommand's report, in output order; a tuple is
+# the "verdicts" section with those keys.
+_REPORTS = {
+    "check": (
+        "header", "input", "tolerances", "sampling", "orders",
+        ("dissipative", "selfadjoint", "regular", "regular_strict"),
+        "gram", "thetas", "contraction", "oracle",
+    ),
+    "normalize": ("normalized", "orders", "tolerances"),
+    "dissipative": (
+        "header", "input", "tolerances", ("dissipative", "selfadjoint"), "gram", "oracle",
+    ),
+    "selfadjoint": ("header", "input", "tolerances", ("selfadjoint",)),
+    "regular": ("header", "input", "tolerances", "orders", ("regular", "regular_strict"), "thetas"),
+    "to-contraction": ("header", "input", "tolerances", "contraction-file"),
+    "from-contraction": (
+        "header", "input", "tolerances", "conditions", ("dissipative", "selfadjoint"),
+    ),
+    "verify": ("header", "m", "sampling", "identities"),
+    "example": ("conditions",),
+}
+
+
+def _build_report(args, tol: TolerancePolicy) -> dict:
+    """The report of the subcommand ``args.command``, section by section."""
+    subject = _Subject(args, tol)
+    report: dict = {}
+    for section in _REPORTS[args.command]:
+        if isinstance(section, tuple):
+            report["verdicts"] = {key: _VERDICTS[key](subject) for key in section}
+        else:
+            report.update(_SECTIONS[section](subject))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -443,47 +370,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, needs_file in (
-        ("check", _cmd_check, True),
-        ("normalize", _cmd_normalize, True),
-        ("dissipative", _cmd_dissipative, True),
-        ("selfadjoint", _cmd_selfadjoint, True),
-        ("regular", _cmd_regular, True),
-        ("to-contraction", _cmd_to_contraction, True),
-        ("from-contraction", _cmd_from_contraction, True),
-    ):
+    for name in _REPORTS:
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("file", help="input JSON file")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--m", type=int, required=True, help="differential order")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("example", parents=[common])
-    p.add_argument("--name", required=True, help="example family name")
-    p.add_argument("--n", type=int, required=True, help="family parameter (m = 2n-1)")
-    p.set_defaults(handler=_cmd_example)
+        if name == "verify":
+            p.add_argument("--m", type=int, required=True, help="differential order")
+        elif name == "example":
+            p.add_argument("--name", required=True, help="example family name")
+            p.add_argument("--n", type=int, required=True, help="family parameter (m = 2n-1)")
+        else:
+            p.add_argument("file", help="input JSON file")
     return parser
 
 
 def _resolve_tolerances(args) -> TolerancePolicy:
-    value = args.tol
+    value, source = args.tol, "--tol"
     if value is None:
-        env = os.environ.get("BCA_TOL")
-        if env is not None:
-            try:
-                value = float(env)
-            except ValueError as exc:
-                raise FileFormatError(f"BCA_TOL: not a number: {env!r}") from exc
+        value, source = os.environ.get("BCA_TOL"), "BCA_TOL"
     if value is None:
         return TolerancePolicy()
     try:
-        return TolerancePolicy(
-            definiteness_tol=value, rank_tol=value, zero_tol=value
-        )
+        value = float(value)
+        return TolerancePolicy(definiteness_tol=value, rank_tol=value, zero_tol=value)
     except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+        raise FileFormatError(f"{source}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -491,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _resolve_tolerances(args)
-        report = args.handler(args, tol)
+        report = _build_report(args, tol)
     except (InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,11 +117,10 @@ def to_contraction(
     if not verdict.dissipative:
         raise NotDissipative("system is not dissipative; no contraction exists")
     maps = canonical_maps(system.m)
-    basis = numerics.nullspace_basis(system.coeffs, tol)
+    basis = system.nullspace(tol)
     z_plus = (maps.Q + 1j * maps.P) @ basis
     z_minus = (maps.Q - 1j * maps.P) @ basis
-    sigma = np.linalg.svd(z_plus, compute_uv=False)
-    if sigma[-1] <= tol.rank_tol * float(np.linalg.norm(z_plus)):
+    if numerics.numerical_rank(z_plus, tol) < system.m:
         raise RankDeficiency(
             "forward coordinate map lost rank on a dissipative system"
         )
@@ -155,6 +154,4 @@ def contraction_roundtrip_defect(
     """Subspace distance between the solution spaces of the system and of
     ``from_contraction(to_contraction(system))``."""
     rebuilt = from_contraction(to_contraction(system, tol), tol)
-    basis_original = numerics.nullspace_basis(system.coeffs, tol)
-    basis_rebuilt = numerics.nullspace_basis(rebuilt.coeffs, tol)
-    return numerics.subspace_distance(basis_original, basis_rebuilt)
+    return numerics.subspace_distance(system.nullspace(tol), rebuilt.nullspace(tol))

@@ -39,24 +39,25 @@ class DissipativityVerdict:
     gram_eigenvalues: tuple[float, ...]
 
 
+def _antidiagonal_signs(m: int, top_right: int) -> np.ndarray:
+    mat = np.zeros((m, m), dtype=np.complex128)
+    for p in range(m):
+        mat[p, m - 1 - p] = top_right * (-1) ** p
+    return mat
+
+
 def build_J(m: int) -> np.ndarray:
     """Antidiagonal sign matrix for even order: top-right -1, alternating."""
     if m % 2 != 0:
         raise OddOrder(f"even order required, got {m}")
-    mat = np.zeros((m, m), dtype=np.complex128)
-    for p in range(m):
-        mat[p, m - 1 - p] = (-1) ** (p + 1)
-    return mat
+    return _antidiagonal_signs(m, -1)
 
 
 def build_K(m: int) -> np.ndarray:
     """Antidiagonal sign matrix for odd order: top-right +1, alternating."""
     if m % 2 == 0:
         raise EvenOrder(f"odd order required, got {m}")
-    mat = np.zeros((m, m), dtype=np.complex128)
-    for p in range(m):
-        mat[p, m - 1 - p] = (-1) ** p
-    return mat
+    return _antidiagonal_signs(m, 1)
 
 
 def build_M(m: int) -> BoundaryFormMatrix:
@@ -97,7 +98,7 @@ def gram_on_nullspace(
     Hermitian matrix.
     """
     validate(system, tol)
-    basis = numerics.nullspace_basis(system.coeffs, tol)
+    basis = system.nullspace(tol)
     form = build_M(system.m).matrix
     gram = basis.T @ form @ np.conj(basis)
     return (gram + gram.conj().T) / 2.0
@@ -108,13 +109,13 @@ def dissipativity_verdict(
 ) -> DissipativityVerdict:
     """Dissipative iff the null-space Gram is PSD (ZERO counts; Im >= 0 is
     non-strict); self-adjoint iff the form vanishes identically there."""
-    gram = gram_on_nullspace(system, tol)
-    classification = numerics.hermitian_classify(gram, tol)
-    eigenvalues = tuple(float(v) for v in np.linalg.eigvalsh(gram))
+    classification, eigenvalues = numerics.hermitian_spectrum(
+        gram_on_nullspace(system, tol), tol
+    )
     return DissipativityVerdict(
         dissipative=classification in (Definiteness.PSD, Definiteness.ZERO),
         selfadjoint=classification is Definiteness.ZERO,
-        gram_eigenvalues=eigenvalues,
+        gram_eigenvalues=tuple(float(v) for v in eigenvalues),
     )
 
 
@@ -136,5 +137,4 @@ def selfadjoint_verdict(
     system: BoundaryConditionSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> bool:
     """True iff the boundary form vanishes identically on the solution space."""
-    gram = gram_on_nullspace(system, tol)
-    return numerics.hermitian_classify(gram, tol) is Definiteness.ZERO
+    return dissipativity_verdict(system, tol).selfadjoint

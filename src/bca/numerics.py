@@ -57,12 +57,12 @@ def as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
-def hermitian_classify(
+def hermitian_spectrum(
     matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES
-) -> Definiteness:
-    """Classify a Hermitian matrix as ZERO, PSD, NSD or INDEFINITE.
+) -> tuple[Definiteness, np.ndarray]:
+    """Definiteness class and ascending eigenvalues of a Hermitian matrix.
 
-    The verdict thresholds eigenvalues of the Hermitian part at
+    The class thresholds eigenvalues of the Hermitian part at
     ``tol.definiteness_tol * max(1, ||G||_F)``.  ZERO means every
     eigenvalue is below threshold in magnitude; callers that accept
     "<= 0" should treat both NSD and ZERO as a hit.
@@ -79,43 +79,44 @@ def hermitian_classify(
     eigenvalues = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
     tau = tol.definiteness_tol * scale
     if np.all(np.abs(eigenvalues) <= tau):
-        return Definiteness.ZERO
+        return Definiteness.ZERO, eigenvalues
     if np.all(eigenvalues >= -tau):
-        return Definiteness.PSD
+        return Definiteness.PSD, eigenvalues
     if np.all(eigenvalues <= tau):
-        return Definiteness.NSD
-    return Definiteness.INDEFINITE
+        return Definiteness.NSD, eigenvalues
+    return Definiteness.INDEFINITE, eigenvalues
+
+
+def hermitian_classify(
+    matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES
+) -> Definiteness:
+    """Classify a Hermitian matrix as ZERO, PSD, NSD or INDEFINITE
+    (the class of :func:`hermitian_spectrum`)."""
+    return hermitian_spectrum(matrix, tol)[0]
+
+
+def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
+    """Number of singular values above ``tol.rank_tol * ||C||_F``, where
+    ``||C||_F`` is the 2-norm of all of ``C``'s singular values ``sigma``."""
+    return int(np.sum(sigma > tol.rank_tol * float(np.linalg.norm(sigma))))
 
 
 def nullspace_basis(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal basis (as columns) of ``{x : C x = 0}``.
-
-    Numerical rank is the number of singular values exceeding
-    ``tol.rank_tol * ||C||_F``; the basis has ``cols - rank`` columns.
-    """
-    mat = as_complex_matrix(matrix)
-    _, sigma, vh = np.linalg.svd(mat)
-    cutoff = tol.rank_tol * float(np.linalg.norm(mat))
-    rank = int(np.sum(sigma > cutoff))
-    return vh[rank:].conj().T
+    """Orthonormal basis (as columns) of ``{x : C x = 0}``; it has
+    ``cols - rank`` columns, with the rank of :func:`svd_rank`."""
+    _, sigma, vh = np.linalg.svd(as_complex_matrix(matrix))
+    return vh[svd_rank(sigma, tol) :].conj().T
 
 
 def numerical_rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     """Number of singular values above ``tol.rank_tol * ||C||_F``."""
-    mat = as_complex_matrix(matrix)
-    if mat.size == 0:
-        return 0
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sigma > tol.rank_tol * float(np.linalg.norm(mat))))
+    return svd_rank(np.linalg.svd(as_complex_matrix(matrix), compute_uv=False), tol)
 
 
 def row_span_basis(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the rows of ``C``."""
-    mat = as_complex_matrix(matrix)
-    _, sigma, vh = np.linalg.svd(mat)
-    cutoff = tol.rank_tol * float(np.linalg.norm(mat))
-    rank = int(np.sum(sigma > cutoff))
-    return vh[:rank].T.copy()
+    _, sigma, vh = np.linalg.svd(as_complex_matrix(matrix))
+    return vh[: svd_rank(sigma, tol)].T.copy()
 
 
 def subspace_distance(basis1, basis2) -> float:

@@ -5,7 +5,8 @@ m-th roots of -1 and the normalized rows' leading data (alpha_j, beta_j,
 k_j); as a function of the auxiliary variable s it is exactly a Laurent
 polynomial with support {0, 1} for odd m and {-1, 0, 1} for even m.  The
 coefficients are recovered by exact interpolation at fixed sample points
-and the verdict thresholds them relative to the determinant scale.
+and the verdict thresholds them relative to an a priori Hadamard bound
+of the leading data, never relative to the values being tested.
 
 For even order two readings of the verdict exist: "at least one of
 theta_-1, theta_1 nonzero" and the stricter "both nonzero".  The report
@@ -16,6 +17,8 @@ apply either.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +122,11 @@ def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
     """Laurent coefficients of the boundary determinant (verdict unset).
 
     Odd order: support {0, 1}, sampled at s in {1, 2}.  Even order:
-    support {-1, 0, 1}, sampled at s in {1, -1, 2}.  ``scale`` records
-    the largest determinant magnitude seen, for relative zero tests.
+    support {-1, 0, 1}, sampled at s in {1, -1, 2}.  Every theta is the
+    determinant of a matrix whose row j has m entries of modulus at most
+    ``max(|alpha_j|, |beta_j|)``, so ``scale = prod_j sqrt(m) *
+    max(|alpha_j|, |beta_j|)`` bounds every |theta| (Hadamard) and
+    serves the relative zero tests.
     """
     m = norm.base.m
     odd = m % 2 == 1
@@ -133,7 +139,7 @@ def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
         theta_minus1=None if odd else coeffs[-1],
         theta_0=coeffs[0],
         theta_1=coeffs[1],
-        scale=max(abs(v) for v in values),
+        scale=math.prod(math.sqrt(m) * max(abs(a), abs(b)) for a, b in norm.leading),
     )
 
 
@@ -150,29 +156,17 @@ def regularity_verdict(
     theta_0_nonzero = abs(report.theta_0) > threshold
     theta_1_nonzero = abs(report.theta_1) > threshold
     if report.parity == "odd":
-        regular = theta_0_nonzero and theta_1_nonzero
-        return RegularityReport(
-            parity=report.parity,
-            theta_minus1=None,
-            theta_0=report.theta_0,
-            theta_1=report.theta_1,
-            scale=report.scale,
-            theta_minus1_nonzero=None,
-            theta_0_nonzero=theta_0_nonzero,
-            theta_1_nonzero=theta_1_nonzero,
-            regular=regular,
-            regular_strict=regular,
-        )
-    theta_minus1_nonzero = abs(report.theta_minus1) > threshold
-    return RegularityReport(
-        parity=report.parity,
-        theta_minus1=report.theta_minus1,
-        theta_0=report.theta_0,
-        theta_1=report.theta_1,
-        scale=report.scale,
+        theta_minus1_nonzero = None
+        regular = strict = theta_0_nonzero and theta_1_nonzero
+    else:
+        theta_minus1_nonzero = abs(report.theta_minus1) > threshold
+        regular = theta_minus1_nonzero or theta_1_nonzero
+        strict = theta_minus1_nonzero and theta_1_nonzero
+    return dataclasses.replace(
+        report,
         theta_minus1_nonzero=theta_minus1_nonzero,
         theta_0_nonzero=theta_0_nonzero,
         theta_1_nonzero=theta_1_nonzero,
-        regular=theta_minus1_nonzero or theta_1_nonzero,
-        regular_strict=theta_minus1_nonzero and theta_1_nonzero,
+        regular=regular,
+        regular_strict=strict,
     )

@@ -130,10 +130,28 @@ class TestNormalize:
             for alpha, beta in result.leading:
                 assert max(abs(alpha), abs(beta)) > 1e-10
 
-    def test_canonical_flag_rotates_pairs(self):
-        result = normalize(helpers.dirichlet_m2(), canonical=True)
-        assert result.leading[0] == (0j, 1 + 0j)
-        assert result.leading[1] == (1 + 0j, 0j)
+    def test_no_least_squares(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("normalize called np.linalg.lstsq")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        rng = np.random.default_rng(17)
+        for m in range(1, 7):
+            # generic rows all have order m - 1, so every order class is rebuilt
+            result = normalize(helpers.random_system(rng, m))
+            assert result.orders == rank_profile_orders(result.base)
+
+    def test_flushes_residue_beyond_the_order(self):
+        # the 1e-11 entry of y''(0) in the first row is below tolerance;
+        # eliminating y'(0) leaves a row of largest entry 0.01, whose
+        # rescaling would lift that residue above tolerance, so it is
+        # flushed and every row keeps the order it is given
+        system = BoundaryConditionSystem(
+            3, [[0, 1, 1e-11, 0, 0, 0], [0.01, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+        )
+        result = normalize(system)
+        assert result.orders == rank_profile_orders(system) == (2, 1, 0)
+        assert [row_order(r) for r in result.base.coeffs] == [2, 1, 0]
 
     def test_dependent_rows_rejected(self):
         system = BoundaryConditionSystem(2, [[1, 0, 1, 0], [2, 0, 2, 0]])

@@ -2,8 +2,10 @@ import io
 import json
 from contextlib import redirect_stdout, redirect_stderr
 
+import numpy as np
 import pytest
 
+import helpers
 from bca.cli import main
 
 
@@ -238,6 +240,18 @@ class TestErrorHandling:
         code, _, err = run_cli(["verify", "--m", "9"])
         assert code == 2 and "order" in err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("check", {"m": True, "conditions": [{"a": [[1, 0]], "b": [[0, 0]]}]}),
+            ("from-contraction", {"m": True, "V": [[[0, 0]]]}),
+        ],
+    )
+    def test_boolean_order_names_field(self, tmp_path, command, payload):
+        path = write_json(tmp_path / "bool.json", payload)
+        code, _, err = run_cli([command, path])
+        assert code == 2 and "m:" in err
+
     def test_dependent_rows(self, tmp_path):
         payload = {
             "m": 2,
@@ -281,3 +295,88 @@ class TestToleranceFlags:
         path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
         code, _, err = run_cli(["check", path, "--tol", "0.5"])
         assert code == 2
+
+
+def key_paths(obj, prefix=""):
+    """Dotted paths of a report's leaves, in output order."""
+    if not isinstance(obj, dict):
+        return [prefix[:-1]]
+    return [path for key, value in obj.items() for path in key_paths(value, f"{prefix}{key}.")]
+
+
+HEADER = ["tool.name", "tool.version", "command", "input.digest", "input.m"]
+TOLERANCES = ["tolerances.definiteness_tol", "tolerances.rank_tol", "tolerances.zero_tol"]
+THETAS = [
+    f"thetas.{key}"
+    for key in (
+        "parity", "theta_minus1", "theta_0", "theta_1", "scale",
+        "theta_minus1_nonzero", "theta_0_nonzero", "theta_1_nonzero",
+    )
+]
+ORACLE = [
+    f"oracle.dissipativity.{key}" for key in ("samples", "seed", "all_nonnegative", "min_value")
+]
+
+
+class TestReportKeys:
+    """The nested keys of every subcommand's JSON report, in order."""
+
+    EXPECTED = {
+        "check": HEADER + TOLERANCES + ["samples", "seed", "orders"]
+        + [f"verdicts.{k}" for k in ("dissipative", "selfadjoint", "regular", "regular_strict")]
+        + ["gram_eigenvalues"] + THETAS + ["contraction.m", "contraction.V"] + ORACLE,
+        "normalize": ["m", "conditions", "orders"] + TOLERANCES,
+        "dissipative": HEADER + TOLERANCES
+        + ["verdicts.dissipative", "verdicts.selfadjoint", "gram_eigenvalues"] + ORACLE,
+        "selfadjoint": HEADER + TOLERANCES + ["verdicts.selfadjoint"],
+        "regular": HEADER + TOLERANCES + ["orders", "verdicts.regular", "verdicts.regular_strict"]
+        + THETAS,
+        "to-contraction": HEADER + TOLERANCES + ["dissipative", "m", "V"],
+        "from-contraction": HEADER + TOLERANCES
+        + ["m", "conditions", "verdicts.dissipative", "verdicts.selfadjoint"],
+        "verify": ["tool.name", "tool.version", "command", "m", "samples", "seed",
+                   "boundary_form.passed", "boundary_form.max_defect",
+                   "canonical_coordinates.passed", "canonical_coordinates.max_defect"],
+        "example": ["m", "conditions"],
+    }
+
+    def test_every_subcommand(self, tmp_path):
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        _, v_text, _ = run_cli(["to-contraction", path])
+        vfile = tmp_path / "v.json"
+        vfile.write_text(v_text)
+        argvs = {
+            "from-contraction": ["from-contraction", str(vfile)],
+            "verify": ["verify", "--m", "2"],
+            "example": ["example", "--name", "odd-irregular", "--n", "2"],
+        }
+        for command, expected in self.EXPECTED.items():
+            code, out, _ = run_cli(argvs.get(command, [command, path]) + ["--samples", "2"])
+            assert code == 0, command
+            assert key_paths(json.loads(out)) == expected, command
+
+    def test_non_dissipative_has_null_contraction(self, tmp_path):
+        path = write_json(tmp_path / "left.json", LEFT_END)
+        _, out, _ = run_cli(["check", path, "--samples", "2"])
+        paths = key_paths(json.loads(out))
+        assert "contraction" in paths and "contraction.V" not in paths
+
+
+class TestFactorizeOnce:
+    @pytest.mark.parametrize("m", (2, 4, 8))
+    def test_check_runs_one_svd_of_the_system(self, tmp_path, monkeypatch, m):
+        system = helpers.random_dissipative(np.random.default_rng(m), m)
+        pairs = [[[z.real, z.imag] for z in row] for row in system.coeffs.tolist()]
+        payload = {"m": m, "conditions": [{"a": row[:m], "b": row[m:]} for row in pairs]}
+        path = write_json(tmp_path / "system.json", payload)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code, out, _ = run_cli(["check", path, "--samples", "1"])
+        assert code == 0 and json.loads(out)["verdicts"]["dissipative"]
+        assert shapes.count((m, 2 * m)) == 1

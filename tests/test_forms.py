@@ -140,6 +140,19 @@ class TestDissipativityVerdict:
                 assert verdict.dissipative == reference.dissipative
                 assert verdict.selfadjoint == reference.selfadjoint
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        system = helpers.random_dissipative(np.random.default_rng(32), 4)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert dissipativity_verdict(system).dissipative
+        assert calls == [(4, 4)]
+
 
 class TestDualGram:
     def test_m1_signature(self):

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from bca import (
+    BoundaryConditionSystem,
     NormalizedSystem,
     normalize,
     ordered_roots,
@@ -148,3 +149,50 @@ class TestRegularityVerdict:
         )
         with pytest.raises(NotNormalized):
             theta_coefficients(broken)
+
+
+# The boundary determinant of each of these systems vanishes identically,
+# so the verdict is irregular however the rows are mixed.
+SPARSE_M5 = [
+    [0, 0, 0, 2, -1, -1, 0, 0, 0, 0],
+    [2, 2, 0, 0, -2, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, -1, -1, 0, 0, 0, 0],
+    [0, 0, 2, 0, 2, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, -1, 0, 0, 0, -1],
+]
+# normalizes to y'(0) + y'(1) = 0 and y(1) - y(0) = 0
+SPARSE_M2 = [[0, -2, 1, -2], [-2, 0, 2, 0]]
+
+
+def conditioned_mixing(rng, m: int, cond: float) -> np.ndarray:
+    """U diag(sigma) W* with random unitary U, W and cond(T) = ``cond``."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    w, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, m)) @ w.conj().T
+
+
+class TestIdenticallyZeroDeterminant:
+    def test_sparse_m5_raw_and_mixed(self):
+        system = BoundaryConditionSystem(5, SPARSE_M5)
+        raw = regularity_verdict(normalize(system))
+        assert normalize(system).orders == (4, 4, 3, 2, 1)
+        assert raw.regular is False and raw.regular_strict is False
+        rng = np.random.default_rng(61)
+        for cond in (1e2, 1e5):
+            for _ in range(10):
+                mixed = helpers.recombined(system, conditioned_mixing(rng, 5, cond))
+                report = regularity_verdict(normalize(mixed))
+                assert report.regular is False and report.regular_strict is False, cond
+
+    def test_sparse_m2_unmixed(self):
+        norm = normalize(BoundaryConditionSystem(2, SPARSE_M2))
+        assert norm.orders == (1, 0)
+        report = regularity_verdict(norm)
+        assert report.regular is False and report.regular_strict is False
+
+    def test_scale_bounds_every_theta(self):
+        rng = np.random.default_rng(62)
+        for m in range(1, 7):
+            report = theta_coefficients(normalize(helpers.random_system(rng, m)))
+            thetas = [report.theta_minus1, report.theta_0, report.theta_1]
+            assert all(abs(t) <= report.scale * (1 + 1e-12) for t in thetas if t is not None)
