@@ -44,7 +44,6 @@ from .numerics import (
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
-    laurent_fit,
     nullspace_basis,
     operator_norm,
     subspace_distance,
@@ -99,7 +98,6 @@ __all__ = [
     "Definiteness",
     "TolerancePolicy",
     "hermitian_classify",
-    "laurent_fit",
     "nullspace_basis",
     "operator_norm",
     "subspace_distance",

@@ -181,7 +181,7 @@ def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
     constant Laurent coefficient of the boundary determinant vanishes.
     """
     if n < 1:
-        raise FileFormatError("n: must be a positive integer")
+        raise FileFormatError(f"--n: family parameter must be >= 1, got {n}")
     m = 2 * n - 1
     coeffs = np.zeros((m, 2 * m), dtype=np.complex128)
     row = 0
@@ -235,6 +235,15 @@ class _Subject:
         return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]
 
 
+def _int_flag(args, name: str, what: str, low: int, high: int | None = None) -> int:
+    """The value of the option ``--name``; out of range, the error names it."""
+    value = getattr(args, name)
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise FileFormatError(f"--{name}: {what} must be {bounds}, got {value}")
+    return value
+
+
 def _input_section(s: _Subject) -> dict:
     m = s.system.m  # parses, and so rejects, the file before it is hashed
     return {"input": {"digest": _file_digest(s.args.file), "m": m}}
@@ -253,7 +262,8 @@ def _thetas_section(s: _Subject) -> dict:
 
 
 def _oracle_section(s: _Subject) -> dict:
-    oracle = polyoracle.sample_dissipativity(s.system, s.args.samples, s.args.seed)
+    samples = _int_flag(s.args, "samples", "sample count", 1)
+    oracle = polyoracle.sample_dissipativity(s.system, samples, s.args.seed)
     return {
         "oracle": {
             "dissipativity": {
@@ -267,9 +277,10 @@ def _oracle_section(s: _Subject) -> dict:
 
 
 def _identities_section(s: _Subject) -> dict:
-    args = s.args
-    boundary = polyoracle.verify_boundary_form_identity(args.m, args.samples, args.seed)
-    canonical = polyoracle.verify_canonical_identity(args.m, args.samples, args.seed)
+    m = _int_flag(s.args, "m", "order", 1, polyoracle.MAX_ORDER)
+    samples = _int_flag(s.args, "samples", "sample count", 1)
+    boundary = polyoracle.verify_boundary_form_identity(m, samples, s.args.seed)
+    canonical = polyoracle.verify_canonical_identity(m, samples, s.args.seed)
     return {
         "boundary_form": {"passed": boundary.passed, "max_defect": boundary.max_defect},
         "canonical_coordinates": {"passed": canonical.passed, "max_defect": canonical.max_defect},

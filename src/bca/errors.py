@@ -67,10 +67,6 @@ class NumericalFailure(BcaError):
     """Internal numerical inconsistency (tolerance conflict, degeneracy)."""
 
 
-class SingularSystem(NumericalFailure):
-    pass
-
-
 class RankDeficiency(NumericalFailure):
     pass
 

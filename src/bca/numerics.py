@@ -2,8 +2,8 @@
 
 Every verdict in the package reduces to a handful of primitives collected
 here: Hermitian definiteness classification, SVD null spaces, subspace
-comparison, the spectral norm and Laurent-coefficient interpolation.  All
-functions are pure and safe for concurrent use.
+comparison and the spectral norm.  All functions are pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, SingularSystem
+from .errors import DimensionMismatch, NonHermitianInput
 
 
 class Definiteness(Enum):
@@ -139,33 +139,3 @@ def operator_norm(matrix) -> float:
     """Largest singular value (spectral norm)."""
     mat = as_complex_matrix(matrix)
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def laurent_fit(support, sample_points, values) -> dict[int, complex]:
-    """Recover Laurent coefficients from point evaluations.
-
-    ``support`` lists integer exponents; the function solves the
-    generalized Vandermonde system ``sum_e c_e s_i^e = f(s_i)`` and
-    returns ``{exponent: coefficient}``.  The fit is an exact linear
-    solve; a relative residual above 1e-10 (or a degenerate point set)
-    raises ``SingularSystem``.
-    """
-    exponents = [int(e) for e in support]
-    points = np.asarray(sample_points, dtype=np.complex128).ravel()
-    vals = np.asarray(values, dtype=np.complex128).ravel()
-    if len(exponents) != points.size or points.size != vals.size:
-        raise DimensionMismatch(
-            f"support/points/values lengths differ: "
-            f"{len(exponents)}/{points.size}/{vals.size}"
-        )
-    if np.any(points == 0):
-        raise SingularSystem("sample points must be nonzero")
-    vander = np.array([[p**e for e in exponents] for p in points])
-    try:
-        coeffs = np.linalg.solve(vander, vals)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("degenerate interpolation point set") from exc
-    residual = float(np.linalg.norm(vander @ coeffs - vals))
-    if residual > 1e-10 * max(1.0, float(np.linalg.norm(vals))):
-        raise SingularSystem(f"interpolation residual too large: {residual:g}")
-    return {e: complex(c) for e, c in zip(exponents, coeffs)}

@@ -16,6 +16,7 @@ reproducible across platforms.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +97,7 @@ class RationalComplex:
 
 QC_ZERO = RationalComplex(0, 0)
 QC_ONE = RationalComplex(1, 0)
+MAX_ORDER = 8  # the largest order the identity suites accept
 
 
 def _minus_i_power(m: int) -> RationalComplex:
@@ -210,40 +212,28 @@ class DissipativitySampleReport:
     samples: int
 
 
-def _solve_exact(matrix: list[list[RationalComplex]], rhs: list[RationalComplex]):
-    """Gaussian elimination over RationalComplex; the system must be square
-    and nonsingular (guaranteed for the Hermite systems built here)."""
-    size = len(matrix)
-    work = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: work[r][col].abs_squared())
-        if work[pivot][col].is_zero():
-            raise ZeroDivisionError("singular exact system")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = work[col][col]
-        work[col] = [v / inv for v in work[col]]
-        for r in range(size):
-            if r == col or work[r][col].is_zero():
+def _rref(rows: list[list[RationalComplex]]) -> tuple[list[list[RationalComplex]], list[int]]:
+    """Gauss-Jordan reduced row echelon form over RationalComplex, pivoting on
+    the largest modulus; returns the rows and each leading row's pivot column."""
+    rows = [row[:] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = max(range(r, len(rows)), key=lambda i: rows[i][col].abs_squared())
+        if rows[pivot][col].is_zero():
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i == r or rows[i][col].is_zero():
                 continue
-            factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[r][size] for r in range(size)]
-
-
-_FALLING: dict[tuple[int, int], int] = {}
-
-
-def _falling(power: int, order: int) -> int:
-    """d^order/dx^order of x^power evaluated coefficient: power!/(power-order)!."""
-    if order > power:
-        return 0
-    key = (power, order)
-    if key not in _FALLING:
-        value = 1
-        for t in range(power - order + 1, power + 1):
-            value *= t
-        _FALLING[key] = value
-    return _FALLING[key]
+            factor = rows[i][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
 
 
 def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolynomial:
@@ -257,20 +247,16 @@ def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolyno
         raise ValueError(f"order must be >= 1, got {m}")
     if target.m != m:
         raise ValueError(f"target has order {target.m}, expected {m}")
-    low = [
-        target.components[k] * Fraction(1, _falling(k, k)) for k in range(m)
-    ]
-    matrix = [
-        [RationalComplex(_falling(m + j, k)) for j in range(m)] for k in range(m)
-    ]
-    rhs = []
+    low = [target.components[k] * Fraction(1, math.factorial(k)) for k in range(m)]
+    augmented = []
     for k in range(m):
-        acc = target.components[m + k]
-        for i in range(k, m):
-            acc = acc - low[i] * Fraction(_falling(i, k))
-        rhs.append(acc)
-    high = _solve_exact(matrix, rhs)
-    return RationalComplexPolynomial(low + high)
+        # the k-th derivative of x^p at x = 1 is p!/(p-k)! = perm(p, k)
+        known = sum((low[i] * math.perm(i, k) for i in range(k, m)), QC_ZERO)
+        rhs = target.components[m + k] - known
+        augmented.append([RationalComplex(math.perm(m + j, k)) for j in range(m)] + [rhs])
+    # the system is nonsingular, so its RREF is [I | solution]
+    solved, _ = _rref(augmented)
+    return RationalComplexPolynomial(low + [row[m] for row in solved])
 
 
 def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
@@ -348,8 +334,8 @@ def verify_boundary_form_identity(
     Hermite interpolant, computes both sides exactly and requires literal
     equality; the reported defect is the largest absolute difference.
     """
-    if not 1 <= m <= 8:
-        raise ValueError(f"order must lie in [1, 8], got {m}")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     exact_form = _exact_matrix(forms.build_M(m).matrix)
@@ -373,8 +359,8 @@ def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityR
     and squared row weights, so the odd-case sqrt(1/2) factors appear
     only as the exact rational 1/2 of a doubled product.
     """
-    if not 1 <= m <= 8:
-        raise ValueError(f"order must lie in [1, 8], got {m}")
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
@@ -408,37 +394,10 @@ def rational_nullspace(
     """Exact basis of the null space of a RationalComplex matrix (RREF)."""
     if not matrix:
         return []
-    rows = [row[:] for row in matrix]
+    rows, pivots = _rref(matrix)
     n_cols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = None
-        best = Fraction(0)
-        for row in range(r, len(rows)):
-            size = rows[row][col].abs_squared()
-            if size > best:
-                best = size
-                pivot = row
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [v / inv for v in rows[r]]
-        for row in range(len(rows)):
-            if row == r or rows[row][col].is_zero():
-                continue
-            factor = rows[row][col]
-            rows[row] = [a - factor * b for a, b in zip(rows[row], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
     basis = []
-    pivot_set = set(pivots)
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(n_cols)) - set(pivots)):
         vec = [QC_ZERO] * n_cols
         vec[free] = QC_ONE
         for row, col in enumerate(pivots):

@@ -4,9 +4,10 @@ The characteristic boundary determinant is assembled from the ordered
 m-th roots of -1 and the normalized rows' leading data (alpha_j, beta_j,
 k_j); as a function of the auxiliary variable s it is exactly a Laurent
 polynomial with support {0, 1} for odd m and {-1, 0, 1} for even m.  The
-coefficients are recovered by exact interpolation at fixed sample points
-and the verdict thresholds them relative to an a priori Hadamard bound
-of the leading data, never relative to the values being tested.
+determinant is linear in each column, so each coefficient is itself one
+determinant (multilinear expansion of the columns that carry s), and the
+verdict thresholds them relative to an a priori Hadamard bound of the
+leading data, never relative to the values being tested.
 
 For even order two readings of the verdict exist: "at least one of
 theta_-1, theta_1 nonzero" and the stricter "both nonzero".  The report
@@ -23,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .bc_core import NormalizedSystem
 from .errors import NotNormalized, OrderingDegeneracy
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
-
-_ODD_POINTS = (1.0, 2.0)
-_EVEN_POINTS = (1.0, -1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,52 +91,61 @@ def _check_normalized(norm: NormalizedSystem) -> None:
             raise NotNormalized("a leading coefficient pair vanishes")
 
 
-def boundary_determinant(norm: NormalizedSystem, s: complex) -> complex:
-    """Evaluate the characteristic boundary determinant at s (s != 0)."""
+def _column_matrices(norm: NormalizedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``A_alpha[j, c] = alpha_j omega_c^k_j`` and ``A_beta[j, c] = beta_j omega_c^k_j``."""
     _check_normalized(norm)
-    m = norm.base.m
-    omegas = ordered_roots(m).omegas
-    odd = m % 2 == 1
-    mu = (m + 1) // 2 if odd else m // 2
-    matrix = np.zeros((m, m), dtype=np.complex128)
-    for j in range(m):
-        alpha, beta = norm.leading[j]
-        k = norm.orders[j]
-        for c in range(1, m + 1):
-            power = omegas[c - 1] ** k
-            if c < mu:
-                matrix[j, c - 1] = alpha * power
-            elif c == mu:
-                matrix[j, c - 1] = (alpha + s * beta) * power
-            elif not odd and c == mu + 1:
-                matrix[j, c - 1] = (alpha + beta / s) * power
-            else:
-                matrix[j, c - 1] = beta * power
+    omegas = np.array(ordered_roots(norm.base.m).omegas)
+    powers = omegas ** np.array(norm.orders)[:, None]
+    alpha, beta = np.array(norm.leading, dtype=np.complex128).T
+    return alpha[:, None] * powers, beta[:, None] * powers
+
+
+def _determinant(a_alpha: np.ndarray, a_beta: np.ndarray, *middle: np.ndarray) -> complex:
+    """Determinant whose column c is column c of its source: ``a_alpha``
+    before mu = (m+1)//2 (1-based), then ``middle``, then ``a_beta``."""
+    sources = [a_alpha] * ((len(a_alpha) - 1) // 2) + list(middle)
+    sources += [a_beta] * (len(a_alpha) - len(sources))
+    matrix = np.column_stack([x[:, c] for c, x in enumerate(sources)])
     return complex(np.linalg.det(matrix))
+
+
+def boundary_determinant(norm: NormalizedSystem, s: complex) -> complex:
+    """Evaluate the characteristic boundary determinant at s (s != 0).
+
+    Column mu holds ``(alpha + s beta) omega^k``; for even order column
+    mu + 1 holds ``(alpha + beta / s) omega^k``.
+    """
+    a, b = _column_matrices(norm)
+    middle = (a + s * b,) if norm.base.m % 2 == 1 else (a + s * b, a + b / s)
+    return _determinant(a, b, *middle)
 
 
 def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
     """Laurent coefficients of the boundary determinant (verdict unset).
 
-    Odd order: support {0, 1}, sampled at s in {1, 2}.  Even order:
-    support {-1, 0, 1}, sampled at s in {1, -1, 2}.  Every theta is the
+    The determinant is linear in each column, so expanding the columns
+    that depend on s gives every theta as one determinant.  Odd order:
+    theta_0 takes column mu from ``A_alpha``, theta_1 from ``A_beta``.
+    Even order, with x in column mu and y in column mu + 1:
+    theta_-1 = det(alpha, beta), theta_0 = det(alpha, alpha) +
+    det(beta, beta) and theta_1 = det(beta, alpha).  Every theta is the
     determinant of a matrix whose row j has m entries of modulus at most
     ``max(|alpha_j|, |beta_j|)``, so ``scale = prod_j sqrt(m) *
     max(|alpha_j|, |beta_j|)`` bounds every |theta| (Hadamard) and
     serves the relative zero tests.
     """
     m = norm.base.m
-    odd = m % 2 == 1
-    points = _ODD_POINTS if odd else _EVEN_POINTS
-    support = (0, 1) if odd else (-1, 0, 1)
-    values = [boundary_determinant(norm, s) for s in points]
-    coeffs = numerics.laurent_fit(support, points, values)
+    a, b = _column_matrices(norm)
+    if m % 2 == 1:
+        theta_minus1, theta_0, theta_1 = None, _determinant(a, b, a), _determinant(a, b, b)
+    else:
+        theta_minus1 = _determinant(a, b, a, b)
+        theta_0 = _determinant(a, b, a, a) + _determinant(a, b, b, b)
+        theta_1 = _determinant(a, b, b, a)
+    parity = "odd" if m % 2 == 1 else "even"
+    scale = math.prod(math.sqrt(m) * max(abs(x), abs(y)) for x, y in norm.leading)
     return RegularityReport(
-        parity="odd" if odd else "even",
-        theta_minus1=None if odd else coeffs[-1],
-        theta_0=coeffs[0],
-        theta_1=coeffs[1],
-        scale=math.prod(math.sqrt(m) * max(abs(a), abs(b)) for a, b in norm.leading),
+        parity=parity, theta_minus1=theta_minus1, theta_0=theta_0, theta_1=theta_1, scale=scale
     )
 
 

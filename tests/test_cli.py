@@ -241,6 +241,25 @@ class TestErrorHandling:
         assert code == 2 and "order" in err
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--m", "9"], "--m"),
+            (["verify", "--m", "0"], "--m"),
+            (["verify", "--m", "3", "--samples", "0"], "--samples"),
+            (["example", "--name", "odd-irregular", "--n", "0"], "--n"),
+        ],
+        ids=["verify-m9", "verify-m0", "verify-samples0", "example-n0"],
+    )
+    def test_out_of_range_flag_names_flag(self, argv, flag):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {flag}: ")
+
+    def test_check_zero_samples_names_flag(self, tmp_path):
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        code, out, err = run_cli(["check", path, "--samples", "0"])
+        assert code == 2 and out == "" and err.startswith("error: --samples: ")
+
+    @pytest.mark.parametrize(
         "command, payload",
         [
             ("check", {"m": True, "conditions": [{"a": [[1, 0]], "b": [[0, 0]]}]}),

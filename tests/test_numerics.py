@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bca.errors import DimensionMismatch, NonHermitianInput, SingularSystem
+from bca.errors import DimensionMismatch, NonHermitianInput
 from bca.numerics import (
     DEFAULT_TOLERANCES,
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
-    laurent_fit,
     nullspace_basis,
     operator_norm,
     row_span_basis,
@@ -166,46 +165,3 @@ class TestOperatorNorm:
             assert operator_norm(c * mat) == pytest.approx(
                 abs(c) * operator_norm(mat), rel=1e-12, abs=1e-12
             )
-
-
-class TestLaurentFit:
-    def test_linear_support(self):
-        theta1 = 1j * np.sqrt(3)
-        coeffs = laurent_fit([0, 1], [1.0, 2.0], [theta1, 2 * theta1])
-        assert abs(coeffs[0]) <= 1e-14
-        assert coeffs[1] == pytest.approx(theta1, abs=1e-14)
-
-    def test_full_even_support(self):
-        f = lambda s: 1.0 / s - s
-        coeffs = laurent_fit([-1, 0, 1], [1.0, -1.0, 2.0], [f(1.0), f(-1.0), f(2.0)])
-        assert coeffs[-1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(coeffs[0]) <= 1e-12
-        assert coeffs[1] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_constant(self):
-        assert laurent_fit([0], [1.0], [3.5 + 1j])[0] == pytest.approx(3.5 + 1j)
-
-    def test_exact_on_known_coefficients(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            truth = {
-                e: complex(rng.normal(), rng.normal()) for e in (-1, 0, 1)
-            }
-            points = [1.0, -1.0, 2.0]
-            values = [sum(c * s**e for e, c in truth.items()) for s in points]
-            fitted = laurent_fit([-1, 0, 1], points, values)
-            scale = max(abs(v) for v in truth.values())
-            for e in truth:
-                assert abs(fitted[e] - truth[e]) <= 1e-12 * max(1.0, scale)
-
-    def test_degenerate_points_rejected(self):
-        with pytest.raises(SingularSystem):
-            laurent_fit([0, 1], [1.0, 1.0], [1.0, 2.0])
-
-    def test_zero_point_rejected(self):
-        with pytest.raises(SingularSystem):
-            laurent_fit([0, 1], [0.0, 1.0], [1.0, 2.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            laurent_fit([0, 1], [1.0], [1.0])

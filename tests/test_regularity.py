@@ -73,17 +73,30 @@ class TestThetaCoefficients:
 
     def test_refit_matches_fresh_evaluation(self):
         rng = np.random.default_rng(51)
-        for m in (2, 3, 4):
-            system = helpers.random_dissipative(rng, m) if m % 2 == 0 else (
-                helpers.odd_irregular((m + 1) // 2)
-            )
-            norm = normalize(system)
-            report = theta_coefficients(norm)
-            predicted = report.theta_0 + 3.0 * report.theta_1
-            if report.theta_minus1 is not None:
-                predicted += report.theta_minus1 / 3.0
-            actual = boundary_determinant(norm, 3.0)
-            assert abs(actual - predicted) <= 1e-8 * max(1.0, report.scale)
+        for m in range(1, 9):
+            systems = [helpers.random_system(rng, m), helpers.random_dissipative(rng, m)]
+            if m % 2 == 1:
+                systems.append(helpers.odd_irregular((m + 1) // 2))
+            for system in systems:
+                norm = normalize(system)
+                report = theta_coefficients(norm)
+                for s in (3.0, -0.5 + 2j):
+                    predicted = report.theta_0 + s * report.theta_1
+                    if report.theta_minus1 is not None:
+                        predicted += report.theta_minus1 / s
+                    actual = boundary_determinant(norm, s)
+                    assert abs(actual - predicted) <= 1e-12 * abs(s) * report.scale, (m, s)
+
+    @pytest.mark.parametrize(
+        "system",
+        [pytest.param(helpers.odd_irregular(n), id=f"odd-irregular-n{n}") for n in range(1, 6)]
+        + [
+            pytest.param(helpers.dirichlet_m2(), id="dirichlet"),
+            pytest.param(helpers.neumann_m2(), id="neumann"),
+        ],
+    )
+    def test_structural_zero_theta_0_is_exact(self, system):
+        assert theta_coefficients(normalize(system)).theta_0 == 0
 
 
 class TestRegularityVerdict:
