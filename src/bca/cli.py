@@ -206,7 +206,7 @@ class _Subject:
         args = self.args
         if args.command == "example":
             if args.name != "odd-irregular":
-                raise FileFormatError(f"name: unknown example {args.name!r}")
+                raise FileFormatError(f"--name: unknown example {args.name!r}")
             return generate_odd_irregular(args.n)
         data = _load_json(args.file)
         if args.command == "from-contraction":
@@ -235,13 +235,12 @@ class _Subject:
         return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]
 
 
-def _int_flag(args, name: str, what: str, low: int, high: int | None = None) -> int:
-    """The value of the option ``--name``; out of range, the error names it."""
+def _check_int_flag(args, name: str, what: str, low: int, high: int | None = None) -> None:
+    """Reject an out-of-range option ``--name`` with an error that names it."""
     value = getattr(args, name)
     if value < low or (high is not None and value > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise FileFormatError(f"--{name}: {what} must be {bounds}, got {value}")
-    return value
 
 
 def _input_section(s: _Subject) -> dict:
@@ -262,8 +261,7 @@ def _thetas_section(s: _Subject) -> dict:
 
 
 def _oracle_section(s: _Subject) -> dict:
-    samples = _int_flag(s.args, "samples", "sample count", 1)
-    oracle = polyoracle.sample_dissipativity(s.system, samples, s.args.seed)
+    oracle = polyoracle.sample_dissipativity(s.system, s.args.samples, s.args.seed)
     return {
         "oracle": {
             "dissipativity": {
@@ -277,10 +275,9 @@ def _oracle_section(s: _Subject) -> dict:
 
 
 def _identities_section(s: _Subject) -> dict:
-    m = _int_flag(s.args, "m", "order", 1, polyoracle.MAX_ORDER)
-    samples = _int_flag(s.args, "samples", "sample count", 1)
-    boundary = polyoracle.verify_boundary_form_identity(m, samples, s.args.seed)
-    canonical = polyoracle.verify_canonical_identity(m, samples, s.args.seed)
+    m, samples, seed = s.args.m, s.args.samples, s.args.seed
+    boundary = polyoracle.verify_boundary_form_identity(m, samples, seed)
+    canonical = polyoracle.verify_canonical_identity(m, samples, seed)
     return {
         "boundary_form": {"passed": boundary.passed, "max_defect": boundary.max_defect},
         "canonical_coordinates": {"passed": canonical.passed, "max_defect": canonical.max_defect},
@@ -311,6 +308,12 @@ _SECTIONS = {
         "m": s.system.m,
         "conditions": system_to_conditions(s.normalized.base),
     },
+}
+# The integer flags each section reads, with their bounds; a report checks
+# them all before it runs any analysis.
+_INT_FLAGS = {
+    "oracle": (("samples", "sample count", 1),),
+    "identities": (("m", "order", 1, polyoracle.MAX_ORDER), ("samples", "sample count", 1)),
 }
 _VERDICTS = {
     "dissipative": lambda s: s.diss.dissipative,
@@ -343,6 +346,9 @@ _REPORTS = {
 
 def _build_report(args, tol: TolerancePolicy) -> dict:
     """The report of the subcommand ``args.command``, section by section."""
+    for section in _REPORTS[args.command]:
+        for flag in _INT_FLAGS.get(section, ()):
+            _check_int_flag(args, *flag)
     subject = _Subject(args, tol)
     report: dict = {}
     for section in _REPORTS[args.command]:

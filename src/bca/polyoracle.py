@@ -2,11 +2,14 @@
 
 Everything here runs in Gaussian-rational arithmetic: polynomial test
 functions with exact coefficients, two-point Hermite interpolation that
-realizes any prescribed boundary vector, and exact integration of
+realizes any prescribed boundary vector (one exact matrix per order,
+built on first use), and exact integration of
 ``(L0 y, y) = integral of (-i)^m y^(m) conj(y)`` over [0, 1].  The inner
 product is linear in its first argument.  Because every quantity is
 exact, identity checks report a defect that must be literally zero --
-there is no tolerance anywhere in this module.
+there is no tolerance anywhere in this module.  The two identity suites
+and the dissipativity spot-check share one sampling loop; each identity
+compares against a Hermitian form ``yh S yh*`` with S built once per call.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
@@ -15,10 +18,12 @@ reproducible across platforms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -75,8 +80,8 @@ class RationalComplex:
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,12 +106,7 @@ MAX_ORDER = 8  # the largest order the identity suites accept
 
 
 def _minus_i_power(m: int) -> RationalComplex:
-    return (
-        RationalComplex(1, 0),
-        RationalComplex(0, -1),
-        RationalComplex(-1, 0),
-        RationalComplex(0, 1),
-    )[m % 4]
+    return RationalComplex(*((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4])
 
 
 class RationalComplexPolynomial:
@@ -116,7 +116,7 @@ class RationalComplexPolynomial:
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
-        while coeffs and coeffs[-1].is_zero():
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
 
@@ -134,13 +134,8 @@ class RationalComplexPolynomial:
         return RationalComplexPolynomial([c.conjugate() for c in self.coefficients])
 
     def __add__(self, other: "RationalComplexPolynomial") -> "RationalComplexPolynomial":
-        size = max(len(self.coefficients), len(other.coefficients))
-        out = []
-        for k in range(size):
-            a = self.coefficients[k] if k < len(self.coefficients) else QC_ZERO
-            b = other.coefficients[k] if k < len(other.coefficients) else QC_ZERO
-            out.append(a + b)
-        return RationalComplexPolynomial(out)
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=QC_ZERO)
+        return RationalComplexPolynomial([a + b for a, b in pairs])
 
     def __mul__(self, other):
         if isinstance(other, RationalComplexPolynomial):
@@ -148,7 +143,7 @@ class RationalComplexPolynomial:
                 return RationalComplexPolynomial([])
             out = [QC_ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
-                if a.is_zero():
+                if not a:
                     continue
                 for j, b in enumerate(other.coefficients):
                     out[i + j] = out[i + j] + a * b
@@ -166,10 +161,7 @@ class RationalComplexPolynomial:
 
     def integral_unit_interval(self) -> RationalComplex:
         """Exact integral over [0, 1]."""
-        acc = QC_ZERO
-        for k, c in enumerate(self.coefficients):
-            acc = acc + c * Fraction(1, k + 1)
-        return acc
+        return sum((c * Fraction(1, k + 1) for k, c in enumerate(self.coefficients)), QC_ZERO)
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,23 +204,23 @@ class DissipativitySampleReport:
     samples: int
 
 
-def _rref(rows: list[list[RationalComplex]]) -> tuple[list[list[RationalComplex]], list[int]]:
-    """Gauss-Jordan reduced row echelon form over RationalComplex, pivoting on
-    the largest modulus; returns the rows and each leading row's pivot column."""
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan reduced row echelon form of exact (Fraction or
+    RationalComplex) rows, pivoting on the first nonzero entry (the RREF is
+    unique, so any exact pivot gives the same rows); returns the rows and
+    each leading row's pivot column."""
     rows = [row[:] for row in rows]
     pivots: list[int] = []
     for col in range(len(rows[0])):
         r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = max(range(r, len(rows)), key=lambda i: rows[i][col].abs_squared())
-        if rows[pivot][col].is_zero():
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][col]
         rows[r] = [v / inv for v in rows[r]]
         for i in range(len(rows)):
-            if i == r or rows[i][col].is_zero():
+            if i == r or not rows[i][col]:
                 continue
             factor = rows[i][col]
             rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
@@ -236,27 +228,52 @@ def _rref(rows: list[list[RationalComplex]]) -> tuple[list[list[RationalComplex]
     return rows, pivots
 
 
-def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolynomial:
-    """Unique polynomial of degree <= 2m-1 matching the boundary vector.
+def _vecmat(vector, rows) -> list[RationalComplex]:
+    """RationalComplex row vector times an exact matrix, ``sum_i vector[i] rows[i]``."""
+    out = [QC_ZERO] * len(rows[0])
+    for weight, row in zip(vector, rows):
+        if not weight:
+            continue
+        for col, value in enumerate(row):
+            if value:
+                out[col] = out[col] + weight * value
+    return out
 
-    Derivatives 0..m-1 at x=0 pin the low coefficients directly
-    (``c_k = t_k / k!``); the derivatives at x=1 leave an m x m exact
-    linear system for the high coefficients.
+
+@functools.cache
+def _hermite_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Row i holds the coefficients of the Hermite basis polynomial whose
+    boundary vector is the i-th unit vector, so ``t @ H`` interpolates t.
+
+    Derivatives 0..m-1 at x=0 pin the low coefficients (``c_k = t_k / k!``,
+    D = diag(1/k!)).  The derivatives at x=1 give ``B c_high = t_high - A D
+    t_low`` with ``B[k][j] = perm(m + j, k)`` and ``A[k][i] = perm(i, k)``, so
+    one elimination of ``[B | -A D | I]`` yields every unit vector's high part.
     """
+    # the k-th derivative of x^p at x = 1 is p!/(p-k)! = perm(p, k)
+    block = [
+        [Fraction(math.perm(m + j, k)) for j in range(m)]
+        + [Fraction(-math.perm(i, k), math.factorial(i)) for i in range(m)]
+        + [Fraction(int(i == k)) for i in range(m)]
+        for k in range(m)
+    ]
+    # B is nonsingular, so the RREF is [I | high coefficients of each unit vector]
+    solved, _ = _rref(block)
+    return tuple(
+        tuple(Fraction(int(i == k), math.factorial(k)) for k in range(m))
+        + tuple(row[m + i] for row in solved)
+        for i in range(2 * m)
+    )
+
+
+def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolynomial:
+    """Unique polynomial of degree <= 2m-1 matching the boundary vector:
+    the boundary vector times the exact Hermite matrix of order m."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if target.m != m:
         raise ValueError(f"target has order {target.m}, expected {m}")
-    low = [target.components[k] * Fraction(1, math.factorial(k)) for k in range(m)]
-    augmented = []
-    for k in range(m):
-        # the k-th derivative of x^p at x = 1 is p!/(p-k)! = perm(p, k)
-        known = sum((low[i] * math.perm(i, k) for i in range(k, m)), QC_ZERO)
-        rhs = target.components[m + k] - known
-        augmented.append([RationalComplex(math.perm(m + j, k)) for j in range(m)] + [rhs])
-    # the system is nonsingular, so its RREF is [I | solution]
-    solved, _ = _rref(augmented)
-    return RationalComplexPolynomial(low + [row[m] for row in solved])
+    return RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
 
 
 def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
@@ -297,11 +314,8 @@ def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
 
 
 def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
-    tag = f"bv{index}"
-    return BoundaryVector(
-        m=m,
-        components=tuple(random_rational_complex(seed, tag, j) for j in range(2 * m)),
-    )
+    components = tuple(random_rational_complex(seed, f"bv{index}", j) for j in range(2 * m))
+    return BoundaryVector(m=m, components=components)
 
 
 def _exact_matrix(float_matrix: np.ndarray) -> list[list[RationalComplex]]:
@@ -312,17 +326,31 @@ def _form_value(
     matrix: list[list[RationalComplex]], vector: tuple[RationalComplex, ...]
 ) -> RationalComplex:
     """Row-vector quadratic form ``v M v*`` in exact arithmetic."""
-    acc = QC_ZERO
-    for p, vp in enumerate(vector):
-        if vp.is_zero():
-            continue
-        row = matrix[p]
-        for q, vq in enumerate(vector):
-            entry = row[q]
-            if entry.is_zero() or vq.is_zero():
-                continue
-            acc = acc + vp * entry * vq.conjugate()
-    return acc
+    return sum((a * b.conjugate() for a, b in zip(_vecmat(vector, matrix), vector)), QC_ZERO)
+
+
+def _samples(m: int, sample_count: int, draw) -> list[tuple[tuple, Fraction]]:
+    """``(yh, Im(L0 y, y))`` for the boundary vectors ``yh = draw(index)``,
+    index < sample_count, each realized by its Hermite interpolant y."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    out = []
+    for index in range(sample_count):
+        yh = tuple(draw(index))
+        y = hermite_interpolant(m, BoundaryVector(m=m, components=yh))
+        out.append((yh, l0_inner_product(y, m).im))
+    return out
+
+
+def _identity_report(m: int, sample_count: int, seed: int, form, defect) -> IdentityReport:
+    """Largest ``defect(Im(L0 y, y), yh S yh*)`` with S = form(m) over sampled
+    rational boundary vectors yh; the identity holds when every defect is 0."""
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
+    matrix = form(m)
+    samples = _samples(m, sample_count, lambda i: random_boundary_vector(m, seed, i).components)
+    max_defect = max(defect(im_l0, _form_value(matrix, yh)) for yh, im_l0 in samples)
+    return IdentityReport(passed=max_defect == 0, max_defect=max_defect, samples=sample_count)
 
 
 def verify_boundary_form_identity(
@@ -334,57 +362,29 @@ def verify_boundary_form_identity(
     Hermite interpolant, computes both sides exactly and requires literal
     equality; the reported defect is the largest absolute difference.
     """
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    exact_form = _exact_matrix(forms.build_M(m).matrix)
-    max_defect = Fraction(0)
-    for index in range(sample_count):
-        bv = random_boundary_vector(m, seed, index)
-        y = hermite_interpolant(m, bv)
-        lhs = 2 * l0_inner_product(y, m).im
-        rhs = _form_value(exact_form, bv.components)
-        defect = abs(lhs - rhs.re) + abs(rhs.im)
-        max_defect = max(max_defect, defect)
-    return IdentityReport(
-        passed=max_defect == 0, max_defect=max_defect, samples=sample_count
+    return _identity_report(
+        m, sample_count, seed, lambda order: _exact_matrix(forms.build_M(order).matrix),
+        lambda im_l0, rhs: abs(2 * im_l0 - rhs.re) + abs(rhs.im),
     )
 
 
-def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
-    """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly on sampled rationals.
+def _canonical_form(m: int) -> list[list[RationalComplex]]:
+    """S with ``Im<yv, y^> = Im(yh S yh*)``: S[c][d] = sum_r w_r^2 q_rc conj(p_rd).
 
     The canonical maps enter through their Gaussian-integer components
     and squared row weights, so the odd-case sqrt(1/2) factors appear
     only as the exact rational 1/2 of a doubled product.
     """
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
-    p_rows = _exact_matrix(p_int)
     q_rows = _exact_matrix(q_int)
-    max_defect = Fraction(0)
-    for index in range(sample_count):
-        bv = random_boundary_vector(m, seed, index)
-        y = hermite_interpolant(m, bv)
-        lhs = l0_inner_product(y, m).im
-        rhs = Fraction(0)
-        for row in range(m):
-            low = QC_ZERO
-            high = QC_ZERO
-            for col, value in enumerate(bv.components):
-                if not p_rows[row][col].is_zero():
-                    low = low + p_rows[row][col] * value
-                if not q_rows[row][col].is_zero():
-                    high = high + q_rows[row][col] * value
-            rhs += weight_sq[row] * (high * low.conjugate()).im
-        defect = abs(lhs - rhs)
-        max_defect = max(max_defect, defect)
-    return IdentityReport(
-        passed=max_defect == 0, max_defect=max_defect, samples=sample_count
+    p_conj = [[value.conjugate() for value in row] for row in _exact_matrix(p_int)]
+    return [_vecmat([q_rows[r][c] * weight_sq[r] for r in range(m)], p_conj) for c in range(2 * m)]
+
+
+def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
+    """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly on sampled rationals."""
+    return _identity_report(
+        m, sample_count, seed, _canonical_form, lambda im_l0, rhs: abs(im_l0 - rhs.im)
     )
 
 
@@ -416,31 +416,15 @@ def sample_dissipativity(
     combinations are realized by Hermite interpolants, and the minimum of
     the exactly computed imaginary parts is reported.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
     m = system.m
-    exact = _exact_matrix(system.coeffs)
-    basis = rational_nullspace(exact)
+    basis = rational_nullspace(_exact_matrix(system.coeffs))
     if len(basis) != m:
-        raise DegenerateSystem(
-            f"expected null space of dimension {m}, got {len(basis)}"
-        )
-    min_value: Fraction | None = None
-    for index in range(sample_count):
-        tag = f"ns{index}"
-        combo = [random_rational_complex(seed, tag, j) for j in range(len(basis))]
-        components = [QC_ZERO] * (2 * m)
-        for weight, vec in zip(combo, basis):
-            if weight.is_zero():
-                continue
-            for col, value in enumerate(vec):
-                if not value.is_zero():
-                    components[col] = components[col] + weight * value
-        bv = BoundaryVector(m=m, components=tuple(components))
-        y = hermite_interpolant(m, bv)
-        value = l0_inner_product(y, m).im
-        min_value = value if min_value is None else min(min_value, value)
-    assert min_value is not None
+        raise DegenerateSystem(f"expected null space of dimension {m}, got {len(basis)}")
+    samples = _samples(
+        m, sample_count,
+        lambda i: _vecmat([random_rational_complex(seed, f"ns{i}", j) for j in range(m)], basis),
+    )
+    min_value = min(im_l0 for _, im_l0 in samples)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count
     )

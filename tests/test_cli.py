@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from bca import bc_core
 from bca.cli import main
 
 
@@ -247,8 +248,9 @@ class TestErrorHandling:
             (["verify", "--m", "0"], "--m"),
             (["verify", "--m", "3", "--samples", "0"], "--samples"),
             (["example", "--name", "odd-irregular", "--n", "0"], "--n"),
+            (["example", "--name", "nope", "--n", "2"], "--name"),
         ],
-        ids=["verify-m9", "verify-m0", "verify-samples0", "example-n0"],
+        ids=["verify-m9", "verify-m0", "verify-samples0", "example-n0", "example-name-nope"],
     )
     def test_out_of_range_flag_names_flag(self, argv, flag):
         code, out, err = run_cli(argv)
@@ -258,6 +260,23 @@ class TestErrorHandling:
         path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
         code, out, err = run_cli(["check", path, "--samples", "0"])
         assert code == 2 and out == "" and err.startswith("error: --samples: ")
+
+    def test_flags_checked_before_any_analysis(self, tmp_path, monkeypatch):
+        calls = []
+        normalize = bc_core.normalize
+
+        def counting_normalize(*args, **kwargs):
+            calls.append(args)
+            return normalize(*args, **kwargs)
+
+        monkeypatch.setattr(bc_core, "normalize", counting_normalize)
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        code, _, err = run_cli(["check", path, "--samples", "0"])
+        assert code == 2 and err == "error: --samples: sample count must be >= 1, got 0\n"
+        assert calls == []
+        # a subcommand that ignores --samples still ignores it
+        code, _, _ = run_cli(["regular", path, "--samples", "0"])
+        assert code == 0 and len(calls) == 1
 
     @pytest.mark.parametrize(
         "command, payload",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from bca import contraction, forms, polyoracle
 from bca.errors import DegenerateSystem
 from bca.polyoracle import (
     BoundaryVector,
@@ -69,13 +70,29 @@ class TestHermiteInterpolant:
         p = hermite_interpolant(2, bv(2, (0,), (1,), (0,), (0,)))
         assert p.coefficients == (qc(0), qc(1), qc(-2), qc(1))  # x(1-x)^2
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_roundtrip_identity(self, m):
         for index in range(8):
             target = random_boundary_vector(m, seed=11, index=index)
             p = hermite_interpolant(m, target)
             assert p.degree <= 2 * m - 1
             assert boundary_vector_of(p, m) == target
+
+    def test_one_elimination_per_order(self, monkeypatch):
+        calls = []
+        rref = polyoracle._rref
+
+        def counting_rref(rows):
+            calls.append(len(rows))
+            return rref(rows)
+
+        monkeypatch.setattr(polyoracle, "_rref", counting_rref)
+        polyoracle._hermite_matrix.cache_clear()
+        for m in (2, 5, 8):
+            for index in range(4):
+                target = random_boundary_vector(m, seed=12, index=index)
+                assert boundary_vector_of(hermite_interpolant(m, target), m) == target
+        assert calls == [2, 5, 8]
 
 
 class TestInnerProduct:
@@ -140,6 +157,39 @@ class TestIdentitySuites:
     def test_identities_exact_at_range_top(self, m):
         assert verify_boundary_form_identity(m, sample_count=5, seed=99).max_defect == 0
         assert verify_canonical_identity(m, sample_count=5, seed=99).max_defect == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    # an anti-Hermitian pair leaves the real part of the form alone
+    @pytest.mark.parametrize("mirror", [0, -1], ids=["one-entry", "anti-hermitian"])
+    def test_perturbed_boundary_form_is_caught(self, monkeypatch, m, mirror):
+        build_M = forms.build_M
+
+        def perturbed(order):
+            exact = build_M(order)
+            matrix = exact.matrix.copy()
+            matrix[0, -1] += 1
+            matrix[-1, 0] += mirror
+            return forms.BoundaryFormMatrix(order, matrix, exact.block0, exact.block1)
+
+        monkeypatch.setattr(forms, "build_M", perturbed)
+        report = verify_boundary_form_identity(m, sample_count=5, seed=21)
+        assert report.passed is False
+        assert report.max_defect > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_flipped_canonical_sign_is_caught(self, monkeypatch, m):
+        components = contraction.integer_canonical_components
+
+        def flipped(order):
+            p_int, q_int, weight_sq = components(order)
+            q_int = q_int.copy()
+            q_int[order - 1] *= -1
+            return p_int, q_int, weight_sq
+
+        monkeypatch.setattr(contraction, "integer_canonical_components", flipped)
+        report = verify_canonical_identity(m, sample_count=5, seed=21)
+        assert report.passed is False
+        assert report.max_defect > 0
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
