@@ -11,7 +11,8 @@ independent leading coefficient pairs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +28,9 @@ class BoundaryConditionSystem:
 
     m: int
     coeffs: np.ndarray
+    # The input's exact coefficients as (re, im) Fraction pairs, each
+    # rounding to its entry of coeffs; None when coeffs are the data.
+    exact: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -40,6 +44,20 @@ class BoundaryConditionSystem:
             raise BadShape("coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+        if self.exact is not None:
+            exact = tuple(tuple((Fraction(re), Fraction(im)) for re, im in row) for row in self.exact)
+            rounded = [[complex(float(re), float(im)) for re, im in row] for row in exact]
+            if rounded != coeffs.tolist():
+                raise BadShape("exact coefficients must round to coeffs")
+            object.__setattr__(self, "exact", exact)
+
+    @property
+    def exact_coeffs(self) -> tuple:
+        """``coeffs`` as exact (re, im) Fraction pairs: the input's own
+        rationals when it gave them, else the exact value of each double."""
+        if self.exact is not None:
+            return self.exact
+        return tuple(tuple((Fraction(z.real), Fraction(z.imag)) for z in row) for row in self.coeffs)
 
     @property
     def a(self) -> np.ndarray:

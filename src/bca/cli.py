@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -88,21 +89,30 @@ def _complex_pair(z: complex) -> list[float]:
 # input parsing
 
 
-def _parse_part(value, where: str) -> float:
+def _parse_part(value, where: str) -> Fraction:
+    """A real number of the input, exactly: ints, floats and "p/q" strings
+    all convert to Fraction without rounding."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return Fraction(value)
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"{where}: bad rational string {value!r}") from exc
     raise FileFormatError(f"{where}: expected a number or 'p/q' string")
 
 
-def _parse_complex(value, where: str) -> complex:
+def _parse_complex(value, where: str) -> tuple[Fraction, Fraction]:
     if not isinstance(value, list) or len(value) != 2:
         raise FileFormatError(f"{where}: complex values are [re, im] pairs")
-    return complex(_parse_part(value[0], f"{where}[0]"), _parse_part(value[1], f"{where}[1]"))
+    return _parse_part(value[0], f"{where}[0]"), _parse_part(value[1], f"{where}[1]")
+
+
+def _rounded(rows) -> list[list[complex]]:
+    """Exact (re, im) pairs rounded to the nearest doubles."""
+    return [[complex(float(re), float(im)) for re, im in row] for row in rows]
 
 
 def _load_json(path: str) -> dict:
@@ -130,26 +140,28 @@ def _parse_order(data: dict) -> int:
     return m
 
 
-def _parse_values(values, m: int, where: str) -> list[complex]:
+def _parse_values(values, m: int, where: str) -> list[tuple[Fraction, Fraction]]:
     if not isinstance(values, list) or len(values) != m:
         raise FileFormatError(f"{where}: expected a list of {m} values")
     return [_parse_complex(value, f"{where}[{k}]") for k, value in enumerate(values)]
 
 
 def parse_condition_data(data: dict) -> BoundaryConditionSystem:
+    """The system of a conditions file; it keeps the exact coefficients
+    next to their doubles, so the exact oracle sees the input's rationals."""
     m = _parse_order(data)
     conditions = data.get("conditions")
     if not isinstance(conditions, list) or len(conditions) != m:
         raise FileFormatError(f"conditions: expected a list of {m} rows")
-    coeffs = np.zeros((m, 2 * m), dtype=np.complex128)
+    exact = []
     for j, row in enumerate(conditions):
         where = f"conditions[{j}]"
         if not isinstance(row, dict):
             raise FileFormatError(f"{where}: expected an object with 'a' and 'b'")
-        coeffs[j] = _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(
-            row.get("b"), m, f"{where}.b"
+        exact.append(
+            _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(row.get("b"), m, f"{where}.b")
         )
-    return BoundaryConditionSystem(m, coeffs)
+    return BoundaryConditionSystem(m, _rounded(exact), exact=exact)
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:
@@ -157,7 +169,7 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
-    matrix = [_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows)]
+    matrix = _rounded(_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows))
     return contraction.ContractionParametrization(m=m, V=np.array(matrix, dtype=np.complex128))
 
 

@@ -1,11 +1,15 @@
 """Exact-arithmetic ground truth for the boundary form identities.
 
-Everything here runs in Gaussian-rational arithmetic: polynomial test
-functions with exact coefficients, two-point Hermite interpolation that
-realizes any prescribed boundary vector (one exact matrix per order,
-built on first use), and exact integration of
-``(L0 y, y) = integral of (-i)^m y^(m) conj(y)`` over [0, 1].  The inner
-product is linear in its first argument.  Because every quantity is
+Everything here runs in Gaussian-rational arithmetic.  The reference route
+realizes a boundary vector by a polynomial test function with exact
+coefficients (two-point Hermite interpolation: one exact matrix H per
+order, built on first use) and integrates
+``(L0 y, y) = integral of (-i)^m y^(m) conj(y)`` over [0, 1] exactly.  The
+inner product is linear in its first argument.  Composed with the
+monomial integral ``integral x^(a-m) x^b = 1/(a - m + b + 1)``, that route
+is one exact Gram per order, ``(L0 y, y) = (-i)^m yh G yh*`` with
+``G = H Mono H^T``; the suites evaluate ``Im(L0 y, y)`` as the Hermitian
+form ``yh F yh*`` of its imaginary part F.  Because every quantity is
 exact, identity checks report a defect that must be literally zero --
 there is no tolerance anywhere in this module.  The two identity suites
 and the dissipativity spot-check share one sampling loop; each identity
@@ -276,6 +280,41 @@ def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolyno
     return RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
 
 
+@functools.cache
+def _gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Real G with ``(L0 y, y) = (-i)^m yh G yh*`` for the Hermite
+    interpolant y of every boundary vector yh: ``G = H Mono H^T``.
+
+    For ``y = sum_a c_a x^a``, ``integral_0^1 y^(m) conj(y) = c Mono c*`` with
+    ``Mono[a][b] = perm(a, m) / (a - m + b + 1)`` (zero for a < m), and the
+    coefficients are ``c = yh H`` with H real.
+    """
+    size = 2 * m
+    mono = [
+        [Fraction(math.perm(a, m), a - m + b + 1) if a >= m else 0 for b in range(size)]
+        for a in range(size)
+    ]
+    hermite = _hermite_matrix(m)
+    left = [[sum(h * row[b] for h, row in zip(h_row, mono)) for b in range(size)] for h_row in hermite]
+    return tuple(
+        tuple(sum(x * h for x, h in zip(left_row, h_row)) for h_row in hermite) for left_row in left
+    )
+
+
+@functools.cache
+def _imaginary_form(m: int) -> tuple[tuple[RationalComplex, ...], ...]:
+    """Hermitian F with ``Im(L0 y, y) = yh F yh*``: the Hermitian imaginary
+    part ``(Z - Z*)/(2i)`` of ``Z = (-i)^m G``, that is
+    ``F[c][d] = p G[c][d] + conj(p) G[d][c]`` with ``p = (-i)^(m+1) / 2``."""
+    gram = _gram(m)
+    p = _minus_i_power(m + 1) * Fraction(1, 2)
+    p_conj = p.conjugate()
+    size = 2 * m
+    return tuple(
+        tuple(p * gram[c][d] + p_conj * gram[d][c] for d in range(size)) for c in range(size)
+    )
+
+
 def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
     """Exact derivatives 0..m-1 of y at both endpoints."""
     at0, at1 = [], []
@@ -322,23 +361,29 @@ def _exact_matrix(float_matrix: np.ndarray) -> list[list[RationalComplex]]:
     return [[RationalComplex.from_complex(z) for z in row] for row in float_matrix]
 
 
-def _form_value(
-    matrix: list[list[RationalComplex]], vector: tuple[RationalComplex, ...]
-) -> RationalComplex:
+def _form_value(matrix, vector) -> RationalComplex:
     """Row-vector quadratic form ``v M v*`` in exact arithmetic."""
-    return sum((a * b.conjugate() for a, b in zip(_vecmat(vector, matrix), vector)), QC_ZERO)
+    return _dot(_vecmat(vector, matrix), vector)
 
 
-def _samples(m: int, sample_count: int, draw) -> list[tuple[tuple, Fraction]]:
-    """``(yh, Im(L0 y, y))`` for the boundary vectors ``yh = draw(index)``,
-    index < sample_count, each realized by its Hermite interpolant y."""
+def _dot(u, v) -> RationalComplex:
+    """``u v*``: the exact sum of ``u_k conj(v_k)``."""
+    return sum((a * b.conjugate() for a, b in zip(u, v)), QC_ZERO)
+
+
+def _check_sample_count(sample_count: int) -> None:
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+
+
+def _samples(form, sample_count: int, draw) -> list[tuple[tuple, Fraction]]:
+    """``(v, v F v*)`` for the vectors ``v = draw(index)``, index <
+    sample_count, of a Hermitian form F (so each value is real): the exact
+    ``Im(L0 y, y)`` of the sampled boundary vectors."""
     out = []
     for index in range(sample_count):
-        yh = tuple(draw(index))
-        y = hermite_interpolant(m, BoundaryVector(m=m, components=yh))
-        out.append((yh, l0_inner_product(y, m).im))
+        v = tuple(draw(index))
+        out.append((v, _form_value(form, v).re))
     return out
 
 
@@ -347,8 +392,11 @@ def _identity_report(m: int, sample_count: int, seed: int, form, defect) -> Iden
     rational boundary vectors yh; the identity holds when every defect is 0."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
+    _check_sample_count(sample_count)
     matrix = form(m)
-    samples = _samples(m, sample_count, lambda i: random_boundary_vector(m, seed, i).components)
+    samples = _samples(
+        _imaginary_form(m), sample_count, lambda i: random_boundary_vector(m, seed, i).components
+    )
     max_defect = max(defect(im_l0, _form_value(matrix, yh)) for yh, im_l0 in samples)
     return IdentityReport(passed=max_defect == 0, max_defect=max_defect, samples=sample_count)
 
@@ -358,8 +406,9 @@ def verify_boundary_form_identity(
 ) -> IdentityReport:
     """Check ``2 Im(L0 y, y) = yh M yh*`` exactly on sampled rationals.
 
-    Each sample draws a small rational boundary vector, realizes it by its
-    Hermite interpolant, computes both sides exactly and requires literal
+    Each sample draws a small rational boundary vector yh, takes
+    ``Im(L0 y, y)`` of its Hermite interpolant y as the exact Gram form
+    ``yh F yh*``, computes the right side exactly and requires literal
     equality; the reported defect is the largest absolute difference.
     """
     return _identity_report(
@@ -411,20 +460,26 @@ def sample_dissipativity(
 ) -> DissipativitySampleReport:
     """Spot-check ``Im(L0 y, y) >= 0`` on exact solutions of the conditions.
 
-    The coefficient matrix converts losslessly to rationals; exact
-    elimination yields a rational null-space basis, random rational
-    combinations are realized by Hermite interpolants, and the minimum of
-    the exactly computed imaginary parts is reported.
+    The conditions enter exactly (the input's own rationals, or the exact
+    binary value of each double); exact elimination yields a rational
+    null-space basis N, and the minimum of ``Im(L0 y, y) = w K w*`` over
+    random rational weights w is reported, with ``K = N F N*`` the form F
+    restricted to the solutions ``yh = w N``.
     """
+    _check_sample_count(sample_count)
     m = system.m
-    basis = rational_nullspace(_exact_matrix(system.coeffs))
+    basis = rational_nullspace(
+        [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+    )
     if len(basis) != m:
         raise DegenerateSystem(f"expected null space of dimension {m}, got {len(basis)}")
+    form = _imaginary_form(m)
+    restricted = [[_dot(row_f, row) for row in basis] for row_f in (_vecmat(r, form) for r in basis)]
     samples = _samples(
-        m, sample_count,
-        lambda i: _vecmat([random_rational_complex(seed, f"ns{i}", j) for j in range(m)], basis),
+        restricted, sample_count,
+        lambda i: [random_rational_complex(seed, f"ns{i}", j) for j in range(m)],
     )
-    min_value = min(im_l0 for _, im_l0 in samples)
+    min_value = min(value for _, value in samples)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count
     )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ class TestValidate:
             BoundaryConditionSystem(2, [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(BadShape):
             BoundaryConditionSystem(1, [[np.inf, 0]])
+
+    def test_exact_coefficients_round_to_coeffs(self):
+        exact = [[(1, 0), (Fraction(-3, 5), Fraction(-4, 5))]]
+        system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=exact)
+        assert system.exact_coeffs == (((Fraction(1), Fraction(0)), (Fraction(-3, 5), Fraction(-4, 5))),)
+        assert helpers.transport(1, 0.5).exact_coeffs == (((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0))),)
+        with pytest.raises(BadShape):
+            BoundaryConditionSystem(1, [[1, -0.5 - 0.8j]], exact=exact)
+        with pytest.raises(BadShape):
+            BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[exact[0][:1]])
 
 
 class TestRowOrder:

@@ -124,6 +124,15 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["verdicts"]["dissipative"] is True
 
+    def test_rational_strings_reach_the_oracle_exactly(self, tmp_path):
+        # y(0) = (3/5 + 4/5 i) y(1) is exactly self-adjoint; the nearest
+        # doubles of 3/5 and 4/5 are not on the unit circle
+        payload = {"m": 1, "conditions": [{"a": [["1", "0"]], "b": [["-3/5", "-4/5"]]}]}
+        path = write_json(tmp_path / "quasi.json", payload)
+        code, out, _ = run_cli(["check", path])
+        assert code == 0
+        assert json.loads(out)["oracle"]["dissipativity"]["min_value"] == "0"
+
 
 class TestNormalize:
     def test_fixed_point(self, tmp_path):
@@ -236,6 +245,12 @@ class TestErrorHandling:
         path = write_json(tmp_path / "bad.json", payload)
         code, _, err = run_cli(["check", path])
         assert code == 2 and "conditions[0].a[0]" in err
+
+    def test_non_finite_number_names_field(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"m": 1, "conditions": [{"a": [[1, 0]], "b": [[NaN, 0]]}]}')
+        code, _, err = run_cli(["check", str(path)])
+        assert code == 2 and "conditions[0].b[0][0]: value must be finite" in err
 
     def test_verify_order_out_of_range(self):
         code, _, err = run_cli(["verify", "--m", "9"])

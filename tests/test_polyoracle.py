@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import helpers
@@ -26,6 +27,18 @@ def qc(re, im=0):
 
 def bv(m, *values):
     return BoundaryVector(m=m, components=tuple(qc(*v) for v in values))
+
+
+def combination(weights, basis):
+    """The boundary vector ``sum_r weights[r] basis[r]``, entry by entry."""
+    components = [qc(0)] * len(basis[0])
+    for weight, vec in zip(weights, basis):
+        for col, value in enumerate(vec):
+            components[col] = components[col] + weight * value
+    return BoundaryVector(m=len(basis[0]) // 2, components=tuple(components))
+
+
+MINUS_I_POWERS = (qc(1), qc(0, -1), qc(-1), qc(0, 1))
 
 
 class TestRationalComplex:
@@ -115,7 +128,7 @@ class TestInnerProduct:
             z = hermite_interpolant(m, random_boundary_vector(m, seed=3, index=1))
             total = l0_inner_product(y + z, m)
             plain = l0_inner_product(y, m) + l0_inner_product(z, m)
-            minus_i_m = (qc(1), qc(0, -1), qc(-1), qc(0, 1))[m % 4]
+            minus_i_m = MINUS_I_POWERS[m % 4]
             dy, dz = y, z
             for _ in range(m):
                 dy = dy.derivative()
@@ -138,6 +151,34 @@ class TestBoundaryVectorOf:
     def test_m1_constant(self):
         p = RationalComplexPolynomial([qc(1)])
         assert boundary_vector_of(p, 1) == bv(1, (1,), (1,))
+
+
+class TestGram:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_gram_matches_the_polynomial_route(self, m):
+        gram = polyoracle._gram(m)
+        form = polyoracle._imaginary_form(m)
+        for index in range(20):
+            target = random_boundary_vector(m, seed=31, index=index)
+            expected = l0_inner_product(hermite_interpolant(m, target), m)
+            value = polyoracle._form_value(gram, target.components)
+            assert MINUS_I_POWERS[m % 4] * value == expected
+            assert polyoracle._form_value(form, target.components) == qc(expected.im)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_identities_hold_as_matrices(self, m):
+        # a Hermitian form is fixed by its values, so these equalities prove
+        # both identities for every boundary vector, not only for samples
+        form = [list(row) for row in polyoracle._imaginary_form(m)]
+        boundary = polyoracle._exact_matrix(forms.build_M(m).matrix)
+        assert [[2 * value for value in row] for row in form] == boundary
+        canonical = polyoracle._canonical_form(m)
+        over_2i = qc(0, Fraction(-1, 2))
+        size = 2 * m
+        assert form == [
+            [(canonical[c][d] - canonical[d][c].conjugate()) * over_2i for d in range(size)]
+            for c in range(size)
+        ]
 
 
 class TestIdentitySuites:
@@ -248,14 +289,35 @@ class TestSampleDissipativity:
                 RationalComplex(Fraction(index + j, 3), Fraction(j - 1, 2))
                 for j in range(m)
             ]
-            components = [qc(0)] * (2 * m)
-            for weight, vec in zip(combo, basis):
-                for col, value in enumerate(vec):
-                    components[col] = components[col] + weight * value
-            vector = BoundaryVector(m=m, components=tuple(components))
+            vector = combination(combo, basis)
             y = hermite_interpolant(m, vector)
             value = l0_inner_product(y, m).im
             assert value == vector.components[n - 1].abs_squared() / 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_polynomial_route(self, m):
+        rng = np.random.default_rng(40 + m)
+        for system in (helpers.random_system(rng, m), helpers.random_dissipative(rng, m)):
+            basis = rational_nullspace(
+                [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+            )
+            values = []
+            for index in range(5):
+                weights = [polyoracle.random_rational_complex(5, f"ns{index}", j) for j in range(m)]
+                y = hermite_interpolant(m, combination(weights, basis))
+                values.append(l0_inner_product(y, m).im)
+            assert sample_dissipativity(system, 5, seed=5).min_value == min(values)
+
+    def test_sample_count_checked_before_any_elimination(self, monkeypatch):
+        calls = []
+        rref, form = polyoracle._rref, polyoracle._imaginary_form
+        monkeypatch.setattr(polyoracle, "_rref", lambda rows: calls.append("rref") or rref(rows))
+        monkeypatch.setattr(polyoracle, "_imaginary_form", lambda m: calls.append("form") or form(m))
+        with pytest.raises(ValueError):
+            sample_dissipativity(helpers.dirichlet_m2(), 0, seed=0)
+        assert calls == []
+        sample_dissipativity(helpers.dirichlet_m2(), 1, seed=0)
+        assert calls == ["rref", "form"]
 
     def test_degenerate_rows_rejected(self):
         from bca import BoundaryConditionSystem
