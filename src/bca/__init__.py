@@ -31,8 +31,6 @@ from .contraction import (
 from .forms import (
     BoundaryFormMatrix,
     DissipativityVerdict,
-    build_J,
-    build_K,
     build_M,
     dissipativity_verdict,
     dual_gram,
@@ -87,8 +85,6 @@ __all__ = [
     "to_contraction",
     "BoundaryFormMatrix",
     "DissipativityVerdict",
-    "build_J",
-    "build_K",
     "build_M",
     "dissipativity_verdict",
     "dual_gram",

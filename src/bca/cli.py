@@ -94,14 +94,17 @@ def _parse_part(value, where: str) -> Fraction:
     all convert to Fraction without rounding."""
     if isinstance(value, float) and not math.isfinite(value):
         raise FileFormatError(f"{where}: value must be finite")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"{where}: bad rational string {value!r}") from exc
-    raise FileFormatError(f"{where}: expected a number or 'p/q' string")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise FileFormatError(f"{where}: expected a number or 'p/q' string")
+    try:
+        part = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FileFormatError(f"{where}: bad rational string {value!r}") from exc
+    try:
+        float(part)  # the float layers need its nearest double
+    except OverflowError:
+        raise FileFormatError(f"{where}: value out of double range") from None
+    return part
 
 
 def _parse_complex(value, where: str) -> tuple[Fraction, Fraction]:
@@ -115,22 +118,14 @@ def _rounded(rows) -> list[list[complex]]:
     return [[complex(float(re), float(im)) for re, im in row] for row in rows]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(raw: bytes, path: str) -> dict:
     try:
-        with open(path, "rb") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path!r}: {exc}") from exc
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path!r}: top-level value must be an object")
     return data
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _parse_order(data: dict) -> int:
@@ -214,13 +209,23 @@ class _Subject:
     tol: TolerancePolicy
 
     @cached_property
+    def raw(self) -> bytes:
+        """The input file, read once: ``system`` parses these bytes and the
+        input section hashes them."""
+        try:
+            with open(self.args.file, "rb") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise FileFormatError(f"cannot read {self.args.file!r}: {exc}") from exc
+
+    @cached_property
     def system(self) -> BoundaryConditionSystem:
         args = self.args
         if args.command == "example":
             if args.name != "odd-irregular":
                 raise FileFormatError(f"--name: unknown example {args.name!r}")
             return generate_odd_irregular(args.n)
-        data = _load_json(args.file)
+        data = _load_json(self.raw, args.file)
         if args.command == "from-contraction":
             return contraction.from_contraction(parse_contraction_data(data), self.tol)
         return parse_condition_data(data)
@@ -257,7 +262,7 @@ def _check_int_flag(args, name: str, what: str, low: int, high: int | None = Non
 
 def _input_section(s: _Subject) -> dict:
     m = s.system.m  # parses, and so rejects, the file before it is hashed
-    return {"input": {"digest": _file_digest(s.args.file), "m": m}}
+    return {"input": {"digest": hashlib.sha256(s.raw).hexdigest(), "m": m}}
 
 
 def _thetas_section(s: _Subject) -> dict:

@@ -43,14 +43,6 @@ class NotNormalized(InvalidInput):
     pass
 
 
-class OddOrder(InvalidInput):
-    """Raised when an even-order-only construction receives odd m."""
-
-
-class EvenOrder(InvalidInput):
-    """Raised when an odd-order-only construction receives even m."""
-
-
 class OddOrderUnsupported(InvalidInput):
     """Raised by diagnostics that are only defined for even order."""
 
@@ -68,8 +60,4 @@ class NumericalFailure(BcaError):
 
 
 class RankDeficiency(NumericalFailure):
-    pass
-
-
-class OrderingDegeneracy(NumericalFailure):
     pass

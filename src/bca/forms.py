@@ -3,11 +3,11 @@
 For the model expression ``(-i)^m y^(m)`` on [0, 1] the imaginary part of
 the quadratic form is carried entirely by boundary data:
 ``2 Im(L0 y, y) = yh M yh*`` where ``yh`` is the row vector of derivatives
-0..m-1 at both endpoints and M is a block-diagonal Hermitian matrix built
-from antidiagonal sign matrices.  Conditions are dissipative exactly when
-this form is positive semidefinite on their solution subspace; the same
-test can be run on the coefficient rows, where dissipativity shows up as
-negative semidefiniteness.
+0..m-1 at both endpoints and M is block-diagonal: an antidiagonal
+Hermitian block B at x = 0 and -B at x = 1.  Conditions are dissipative
+exactly when this form is positive semidefinite on their solution
+subspace; the same test can be run on the coefficient rows, where
+dissipativity shows up as negative semidefiniteness.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from . import numerics
 from .bc_core import BoundaryConditionSystem, validate
-from .errors import EvenOrder, OddOrder
 from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
 
@@ -39,47 +38,21 @@ class DissipativityVerdict:
     gram_eigenvalues: tuple[float, ...]
 
 
-def _antidiagonal_signs(m: int, top_right: int) -> np.ndarray:
-    mat = np.zeros((m, m), dtype=np.complex128)
-    for p in range(m):
-        mat[p, m - 1 - p] = top_right * (-1) ** p
-    return mat
-
-
-def build_J(m: int) -> np.ndarray:
-    """Antidiagonal sign matrix for even order: top-right -1, alternating."""
-    if m % 2 != 0:
-        raise OddOrder(f"even order required, got {m}")
-    return _antidiagonal_signs(m, -1)
-
-
-def build_K(m: int) -> np.ndarray:
-    """Antidiagonal sign matrix for odd order: top-right +1, alternating."""
-    if m % 2 == 0:
-        raise EvenOrder(f"odd order required, got {m}")
-    return _antidiagonal_signs(m, 1)
-
-
 def build_M(m: int) -> BoundaryFormMatrix:
     """Boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``.
 
-    Even m = 2n: blocks ``i(-1)^n J`` and ``-i(-1)^n J``; odd m = 2n-1:
-    blocks ``(-1)^(n+1) K`` and ``(-1)^n K``.  Entries are exact Gaussian
-    integers (0, +-1, +-i), so the matrix converts losslessly to exact
-    arithmetic.  The spectrum is {+1, -1}, each with multiplicity m.
+    Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``.
+    Entries are exact Gaussian integers (0, +-1, +-i), so the matrix
+    converts losslessly to exact arithmetic.  B is Hermitian and unitary,
+    so the spectrum is {+1, -1}, each with multiplicity m.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    if m % 2 == 0:
-        n = m // 2
-        j_mat = build_J(m)
-        block0 = 1j * (-1) ** n * j_mat
-        block1 = -1j * (-1) ** n * j_mat
-    else:
-        n = (m + 1) // 2
-        k_mat = build_K(m)
-        block0 = (-1) ** (n + 1) * k_mat
-        block1 = (-1) ** n * k_mat
+    unit = -(1j ** ((m + 1) % 4))  # -i^(m+1), exact: the exponent stays small
+    block0 = np.zeros((m, m), dtype=np.complex128)
+    for p in range(m):
+        block0[p, m - 1 - p] = unit * (-1) ** p
+    block1 = -block0
     matrix = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     matrix[:m, :m] = block0
     matrix[m:, m:] = block1

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bc_core import NormalizedSystem
-from .errors import NotNormalized, OrderingDegeneracy
+from .errors import NotNormalized
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
@@ -61,20 +61,17 @@ class RegularityReport:
 
 
 def ordered_roots(m: int) -> OmegaOrder:
-    """Roots ``exp(i pi (2j-1)/m)`` sorted by ``Re(omega e^{i pi / 2m})``.
+    """Roots ``omega_j = exp(i pi (2j-1)/m)`` sorted by ``Re(omega e^{i pi / 2m})``.
 
-    The sort keys are provably distinct; a gap below 1e-9 raises
-    ``OrderingDegeneracy`` defensively.
+    That key is ``cos(pi (4j-1)/2m) = -cos(pi |4j-1-2m| / 2m)``, which
+    rises with the integer ``|4j-1-2m|`` (always below 2m), so the order
+    is the sort of j by that integer.  No two j share it: for j != j'
+    that would need ``4(j + j') = 4m + 2``.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    roots = [cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in range(1, m + 1)]
-    twist = cmath.exp(1j * cmath.pi / (2 * m))
-    keyed = sorted(((root * twist).real, root) for root in roots)
-    for (key_a, _), (key_b, _) in zip(keyed, keyed[1:]):
-        if key_b - key_a <= 1e-9:
-            raise OrderingDegeneracy("root ordering keys nearly collide")
-    return OmegaOrder(m=m, omegas=tuple(root for _, root in keyed))
+    order = sorted(range(1, m + 1), key=lambda j: abs(4 * j - 1 - 2 * m))
+    return OmegaOrder(m=m, omegas=tuple(cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in order))
 
 
 def _check_normalized(norm: NormalizedSystem) -> None:

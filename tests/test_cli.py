@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout, redirect_stderr
@@ -134,6 +136,23 @@ class TestCheck:
         assert json.loads(out)["oracle"]["dissipativity"]["min_value"] == "0"
 
 
+    def test_input_file_read_once(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli(["check", path, "--samples", "1"])
+        assert code == 0 and opened.count(path) == 1
+        with real_open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert json.loads(out)["input"]["digest"] == digest
+
+
 class TestNormalize:
     def test_fixed_point(self, tmp_path):
         messy = {
@@ -251,6 +270,30 @@ class TestErrorHandling:
         path.write_text('{"m": 1, "conditions": [{"a": [[1, 0]], "b": [[NaN, 0]]}]}')
         code, _, err = run_cli(["check", str(path)])
         assert code == 2 and "conditions[0].b[0][0]: value must be finite" in err
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            (
+                "check",
+                '{"m": 1, "conditions": [{"a": [["1e400", "0"]], "b": [[1, 0]]}]}',
+                "conditions[0].a[0][0]",
+            ),
+            (
+                "check",
+                '{"m": 1, "conditions": [{"a": [[1, 0]], "b": [[0, ' + "9" * 400 + "]]}]}",
+                "conditions[0].b[0][1]",
+            ),
+            ("from-contraction", '{"m": 1, "V": [[["1e400", 0]]]}', "V[0][0][0]"),
+        ],
+        ids=["conditions-string", "conditions-integer", "contraction-string"],
+    )
+    def test_number_beyond_double_range_names_field(self, tmp_path, command, text, field):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run_cli([command, str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {field}: value out of double range\n"
 
     def test_verify_order_out_of_range(self):
         code, _, err = run_cli(["verify", "--m", "9"])

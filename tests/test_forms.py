@@ -5,8 +5,6 @@ import helpers
 from bca import (
     BoundaryConditionSystem,
     Definiteness,
-    build_J,
-    build_K,
     build_M,
     dissipativity_verdict,
     dual_gram,
@@ -14,41 +12,7 @@ from bca import (
     hermitian_classify,
     selfadjoint_verdict,
 )
-from bca.errors import DependentRows, EvenOrder, OddOrder
-
-
-class TestSignMatrices:
-    def test_J_m2(self):
-        assert np.array_equal(build_J(2), np.array([[0, -1], [1, 0]], dtype=complex))
-
-    def test_J_m4_alternation(self):
-        j4 = build_J(4)
-        anti = [j4[p, 3 - p] for p in range(4)]
-        assert anti == [-1, 1, -1, 1]
-        assert np.count_nonzero(j4) == 4
-
-    def test_J_squares_to_minus_identity(self):
-        j2 = build_J(2)
-        assert np.array_equal(j2 @ j2, -np.eye(2, dtype=complex))
-
-    def test_J_rejects_odd(self):
-        with pytest.raises(OddOrder):
-            build_J(3)
-
-    def test_K_m1(self):
-        assert np.array_equal(build_K(1), np.array([[1]], dtype=complex))
-
-    def test_K_m3_alternation(self):
-        k3 = build_K(3)
-        assert [k3[p, 2 - p] for p in range(3)] == [1, -1, 1]
-
-    def test_K_symmetric(self):
-        k5 = build_K(5)
-        assert np.array_equal(k5, k5.T)
-
-    def test_K_rejects_even(self):
-        with pytest.raises(EvenOrder):
-            build_K(2)
+from bca.errors import DependentRows
 
 
 class TestBoundaryFormMatrix:
@@ -63,10 +27,11 @@ class TestBoundaryFormMatrix:
 
     def test_m3_blocks(self):
         form = build_M(3)
-        assert np.array_equal(form.block0, -build_K(3))
-        assert np.array_equal(form.block1, build_K(3))
+        k3 = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+        assert np.array_equal(form.block0, -k3)
+        assert np.array_equal(form.block1, k3)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_hermitian_with_balanced_unit_spectrum(self, m):
         form = build_M(m)
         assert np.allclose(form.matrix, form.matrix.conj().T)

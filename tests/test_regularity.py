@@ -49,6 +49,20 @@ class TestOrderedRoots:
         keys = [(w * twist).real for w in order.omegas]
         assert all(b - a > 1e-9 for a, b in zip(keys, keys[1:]))
 
+    def test_matches_a_float_sort_of_the_twisted_roots(self):
+        for m in range(1, 201):
+            roots = [cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in range(1, m + 1)]
+            twist = cmath.exp(1j * cmath.pi / (2 * m))
+            expected = tuple(sorted(roots, key=lambda w: (w * twist).real))
+            assert ordered_roots(m).omegas == expected, m
+
+    def test_large_order_does_not_raise(self):
+        # neighbouring float keys here differ by less than 1e-9
+        m = 100_000
+        omegas = ordered_roots(m).omegas
+        assert len(omegas) == m
+        assert omegas[0] == cmath.exp(1j * cmath.pi * (m - 1) / m)  # j = m/2 has key 1
+
 
 class TestThetaCoefficients:
     def test_dirichlet(self):
