@@ -71,9 +71,16 @@ class BoundaryConditionSystem:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and right singular vectors of ``coeffs``,
+        """Singular values and right singular vectors of ``coeffs``, each
+        row first scaled by a power of two so that its largest real or
+        imaginary part lies in [1, 2) (exact in binary, keeps the row span,
+        and keeps rows near the double range from overflowing the SVD);
         computed once per system; each consumer applies its own cutoff."""
-        _, sigma, vh = np.linalg.svd(self.coeffs)
+        coeffs = self.coeffs
+        top = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)).max(axis=1)
+        shift = (1 - np.frexp(top)[1])[:, None]
+        scaled = np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
+        _, sigma, vh = np.linalg.svd(scaled)
         return sigma, vh
 
     def nullspace(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:

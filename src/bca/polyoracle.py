@@ -11,9 +11,18 @@ is one exact Gram per order, ``(L0 y, y) = (-i)^m yh G yh*`` with
 ``G = H Mono H^T``; the suites evaluate ``Im(L0 y, y)`` as the Hermitian
 form ``yh F yh*`` of its imaginary part F.  Because every quantity is
 exact, identity checks report a defect that must be literally zero --
-there is no tolerance anywhere in this module.  The two identity suites
-and the dissipativity spot-check share one sampling loop; each identity
-compares against a Hermitian form ``yh S yh*`` with S built once per call.
+there is no tolerance anywhere in this module.
+
+The sampled forms run fraction-free: each exact matrix is Gaussian
+integers (pairs of Python ints) over one denominator, and each drawn
+rational vector is scaled by ``STREAM_SCALE``, so every sample is an
+integer sum and one Fraction is built per report.  The identity suites
+evaluate one difference form, built per call, that vanishes exactly when the
+identity holds.  The dissipativity spot-check scales each condition row
+to Gaussian integers and eliminates by Bareiss's fraction-free
+Gauss-Jordan method, whose every division is exact and checked; the
+result is the RREF null-space basis times one Gaussian integer.  All
+three share one sampling loop.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
@@ -107,6 +116,8 @@ class RationalComplex:
 QC_ZERO = RationalComplex(0, 0)
 QC_ONE = RationalComplex(1, 0)
 MAX_ORDER = 8  # the largest order the identity suites accept
+Gaussian = tuple[int, int]  # re + i im, as Python ints
+GaussianRows = list[list[Gaussian]]
 
 
 def _minus_i_power(m: int) -> RationalComplex:
@@ -337,11 +348,13 @@ def l0_inner_product(y: RationalComplexPolynomial, m: int) -> RationalComplex:
     return _minus_i_power(m) * product.integral_unit_interval()
 
 
-def _stream_fraction(seed: int, tag: str, index: int) -> Fraction:
+def _stream_draw(seed: int, tag: str, index: int) -> tuple[int, int]:
     digest = hashlib.sha256(f"{seed}:{tag}:{index}".encode()).digest()
-    numerator = int.from_bytes(digest[:4], "big") % 19 - 9
-    denominator = digest[4] % 4 + 1
-    return Fraction(numerator, denominator)
+    return int.from_bytes(digest[:4], "big") % 19 - 9, digest[4] % 4 + 1
+
+
+def _stream_fraction(seed: int, tag: str, index: int) -> Fraction:
+    return Fraction(*_stream_draw(seed, tag, index))
 
 
 def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
@@ -357,18 +370,105 @@ def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
     return BoundaryVector(m=m, components=components)
 
 
-def _exact_matrix(float_matrix: np.ndarray) -> list[list[RationalComplex]]:
-    return [[RationalComplex.from_complex(z) for z in row] for row in float_matrix]
+STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 
 
-def _form_value(matrix, vector) -> RationalComplex:
-    """Row-vector quadratic form ``v M v*`` in exact arithmetic."""
-    return _dot(_vecmat(vector, matrix), vector)
+def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
+    """``STREAM_SCALE * random_rational_complex(seed, tag, j)`` for j < size,
+    as Gaussian integers."""
+    parts = []
+    for index in range(2 * size):
+        numerator, denominator = _stream_draw(seed, tag, index)
+        parts.append(numerator * (STREAM_SCALE // denominator))
+    return list(zip(parts[::2], parts[1::2]))
 
 
-def _dot(u, v) -> RationalComplex:
-    """``u v*``: the exact sum of ``u_k conj(v_k)``."""
-    return sum((a * b.conjugate() for a, b in zip(u, v)), QC_ZERO)
+def _exact_quotient(a: Gaussian, b: Gaussian) -> Gaussian:
+    """``a / b`` in Z[i]; raises ArithmeticError unless b divides a."""
+    (ar, ai), (br, bi) = a, b
+    if bi == 0:
+        (re, re_rest), (im, im_rest) = divmod(ar, br), divmod(ai, br)
+    else:
+        norm = br * br + bi * bi
+        (re, re_rest), (im, im_rest) = divmod(ar * br + ai * bi, norm), divmod(ai * br - ar * bi, norm)
+    if re_rest or im_rest:
+        raise ArithmeticError(f"{a} is not a Gaussian-integer multiple of {b}")
+    return re, im
+
+
+def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
+    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
+
+    Each step replaces every other row x by ``(p x - x[col] y) / prev``,
+    with y the pivot row, p its pivot and prev the previous pivot.
+    Sylvester's identity makes that division exact (Bareiss, Math. Comp.
+    22, 1968), so every entry stays a Gaussian integer.  Returns the rows,
+    the pivot columns and the last pivot d: the rows are the RREF of
+    :func:`_rref` (same pivoting) times d.
+    """
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = (1, 0)
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        pr, pi = top[col]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            fr, fi = row[col]
+            rows[i] = [
+                _exact_quotient(
+                    (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr), prev
+                )
+                for (xr, xi), (yr, yi) in zip(row, top)
+            ]
+        prev = top[col]
+        pivots.append(col)
+    return rows, pivots, prev
+
+
+def _over_one_denominator(rows) -> tuple[GaussianRows, int]:
+    """Gaussian integers G and the least den > 0 with ``rows == G / den``,
+    for rows of exact (re, im) pairs (ints, Fractions or floats)."""
+    ratios = [[(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in row] for row in rows]
+    den = math.lcm(*(q for row in ratios for pair in row for _, q in pair))
+    return [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in row] for row in ratios], den
+
+
+def _complex_pairs(matrix: np.ndarray) -> list[list[tuple[float, float]]]:
+    return [[(z.real, z.imag) for z in row] for row in matrix.tolist()]
+
+
+def _gaussian_vecmat(vector, rows) -> list[Gaussian]:
+    """Gaussian-integer row vector times a Gaussian-integer matrix."""
+    out_re, out_im = [0] * len(rows[0]), [0] * len(rows[0])
+    for (wr, wi), row in zip(vector, rows):
+        if not (wr or wi):
+            continue
+        for col, (xr, xi) in enumerate(row):
+            out_re[col] += wr * xr - wi * xi
+            out_im[col] += wr * xi + wi * xr
+    return list(zip(out_re, out_im))
+
+
+def _gaussian_dot(u, v) -> Gaussian:
+    """``u v*``: the sum of ``u_k conj(v_k)`` over Gaussian integers."""
+    re = im = 0
+    for (ur, ui), (vr, vi) in zip(u, v):
+        re += ur * vr + ui * vi
+        im += ui * vr - ur * vi
+    return re, im
+
+
+@functools.cache
+def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
+    """:func:`_imaginary_form` as Gaussian integers over one denominator."""
+    return _over_one_denominator([[(z.re, z.im) for z in row] for row in _imaginary_form(m)])
 
 
 def _check_sample_count(sample_count: int) -> None:
@@ -376,29 +476,37 @@ def _check_sample_count(sample_count: int) -> None:
         raise ValueError("sample_count must be >= 1")
 
 
-def _samples(form, sample_count: int, draw) -> list[tuple[tuple, Fraction]]:
-    """``(v, v F v*)`` for the vectors ``v = draw(index)``, index <
-    sample_count, of a Hermitian form F (so each value is real): the exact
-    ``Im(L0 y, y)`` of the sampled boundary vectors."""
-    out = []
-    for index in range(sample_count):
-        v = tuple(draw(index))
-        out.append((v, _form_value(form, v).re))
-    return out
+def _form_samples(rows, sample_count: int, seed: int, tag: str) -> list[Gaussian]:
+    """``v R v*`` of a Gaussian-integer form R at ``v = _scaled_draws(seed,
+    tag + str(index), len(R))`` for index < sample_count: the sampled form
+    values times ``STREAM_SCALE ** 2`` and R's denominator."""
+    return [
+        _gaussian_dot(_gaussian_vecmat(v, rows), v)
+        for v in (_scaled_draws(seed, f"{tag}{index}", len(rows)) for index in range(sample_count))
+    ]
 
 
-def _identity_report(m: int, sample_count: int, seed: int, form, defect) -> IdentityReport:
-    """Largest ``defect(Im(L0 y, y), yh S yh*)`` with S = form(m) over sampled
-    rational boundary vectors yh; the identity holds when every defect is 0."""
+def _identity_report(m: int, sample_count: int, seed: int, difference) -> IdentityReport:
+    """Largest defect ``|Re q| + |Im q|`` of ``q = yh D yh*`` over sampled
+    rational boundary vectors yh (those of :func:`random_boundary_vector`),
+    with D = difference(m) a form that is 0 exactly when the identity holds."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
-    matrix = form(m)
-    samples = _samples(
-        _imaginary_form(m), sample_count, lambda i: random_boundary_vector(m, seed, i).components
-    )
-    max_defect = max(defect(im_l0, _form_value(matrix, yh)) for yh, im_l0 in samples)
+    rows, den = difference(m)
+    worst = max(abs(re) + abs(im) for re, im in _form_samples(rows, sample_count, seed, "bv"))
+    max_defect = Fraction(worst, STREAM_SCALE**2 * den)
     return IdentityReport(passed=max_defect == 0, max_defect=max_defect, samples=sample_count)
+
+
+def _boundary_difference(m: int) -> tuple[GaussianRows, int]:
+    """``M - 2F`` over one denominator, M from :func:`forms.build_M`."""
+    boundary, b_den = _over_one_denominator(_complex_pairs(forms.build_M(m).matrix))
+    form, f_den = _integer_imaginary_form(m)
+    return [
+        [(br * f_den - 2 * fr * b_den, bi * f_den - 2 * fi * b_den) for (br, bi), (fr, fi) in zip(b_row, f_row)]
+        for b_row, f_row in zip(boundary, form)
+    ], b_den * f_den
 
 
 def verify_boundary_form_identity(
@@ -406,35 +514,56 @@ def verify_boundary_form_identity(
 ) -> IdentityReport:
     """Check ``2 Im(L0 y, y) = yh M yh*`` exactly on sampled rationals.
 
-    Each sample draws a small rational boundary vector yh, takes
-    ``Im(L0 y, y)`` of its Hermite interpolant y as the exact Gram form
-    ``yh F yh*``, computes the right side exactly and requires literal
-    equality; the reported defect is the largest absolute difference.
+    Each sample draws a small rational boundary vector yh, where
+    ``Im(L0 y, y)`` of its Hermite interpolant y is the exact Gram form
+    ``yh F yh*``, and requires ``yh (M - 2F) yh* = 0`` literally; the
+    reported defect is the largest ``|2 Im(L0 y, y) - Re rhs| + |Im rhs|``
+    with ``rhs = yh M yh*``.
     """
-    return _identity_report(
-        m, sample_count, seed, lambda order: _exact_matrix(forms.build_M(order).matrix),
-        lambda im_l0, rhs: abs(2 * im_l0 - rhs.re) + abs(rhs.im),
-    )
+    return _identity_report(m, sample_count, seed, _boundary_difference)
 
 
-def _canonical_form(m: int) -> list[list[RationalComplex]]:
-    """S with ``Im<yv, y^> = Im(yh S yh*)``: S[c][d] = sum_r w_r^2 q_rc conj(p_rd).
+def _canonical_form(m: int) -> tuple[GaussianRows, int]:
+    """S with ``Im<yv, y^> = Im(yh S yh*)``, ``S[c][d] = sum_r w_r^2 q_rc
+    conj(p_rd)``, as Gaussian integers over one denominator.
 
     The canonical maps enter through their Gaussian-integer components
     and squared row weights, so the odd-case sqrt(1/2) factors appear
     only as the exact rational 1/2 of a doubled product.
     """
     p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
-    q_rows = _exact_matrix(q_int)
-    p_conj = [[value.conjugate() for value in row] for row in _exact_matrix(p_int)]
-    return [_vecmat([q_rows[r][c] * weight_sq[r] for r in range(m)], p_conj) for c in range(2 * m)]
+    p, p_den = _over_one_denominator(_complex_pairs(p_int))
+    q, q_den = _over_one_denominator(_complex_pairs(q_int))
+    (weights,), w_den = _over_one_denominator([[(w, 0) for w in weight_sq]])
+    p_conj = [[(re, -im) for re, im in row] for row in p]
+    return [
+        _gaussian_vecmat([(re * w, im * w) for (re, im), (w, _) in zip(q_col, weights)], p_conj)
+        for q_col in zip(*q)
+    ], p_den * q_den * w_den
+
+
+def _canonical_difference(m: int) -> tuple[GaussianRows, int]:
+    """``F - (S - S*) / 2i`` over one denominator: the Hermitian form of
+    ``Im(L0 y, y) - Im(yh S yh*)``."""
+    s, s_den = _canonical_form(m)
+    form, f_den = _integer_imaginary_form(m)
+    size = 2 * m
+    # (x + iy) / 2i = (y - ix) / 2 with x + iy = S[c][d] - conj(S[d][c])
+    return [
+        [
+            (
+                2 * s_den * form[c][d][0] - f_den * (s[c][d][1] + s[d][c][1]),
+                2 * s_den * form[c][d][1] + f_den * (s[c][d][0] - s[d][c][0]),
+            )
+            for d in range(size)
+        ]
+        for c in range(size)
+    ], 2 * s_den * f_den
 
 
 def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly on sampled rationals."""
-    return _identity_report(
-        m, sample_count, seed, _canonical_form, lambda im_l0, rhs: abs(im_l0 - rhs.im)
-    )
+    return _identity_report(m, sample_count, seed, _canonical_difference)
 
 
 def rational_nullspace(
@@ -455,31 +584,43 @@ def rational_nullspace(
     return basis
 
 
+def _integer_rows(rows) -> GaussianRows:
+    """Each row of exact (re, im) pairs times the lcm of its denominators:
+    Gaussian-integer rows with the same row span."""
+    return [_over_one_denominator([row])[0][0] for row in rows]
+
+
 def sample_dissipativity(
     system: BoundaryConditionSystem, sample_count: int, seed: int
 ) -> DissipativitySampleReport:
     """Spot-check ``Im(L0 y, y) >= 0`` on exact solutions of the conditions.
 
     The conditions enter exactly (the input's own rationals, or the exact
-    binary value of each double); exact elimination yields a rational
-    null-space basis N, and the minimum of ``Im(L0 y, y) = w K w*`` over
-    random rational weights w is reported, with ``K = N F N*`` the form F
-    restricted to the solutions ``yh = w N``.
+    binary value of each double), each row scaled to Gaussian integers.
+    Fraction-free elimination yields the RREF null-space basis of
+    :func:`rational_nullspace` times one Gaussian integer d; the minimum
+    of ``Im(L0 y, y) = w K w*`` over random rational weights w is
+    reported, with ``K = N F N*`` the form F restricted to the solutions
+    ``yh = w N``.  K and every sample are integer sums; one Fraction is
+    built at the end.
     """
     _check_sample_count(sample_count)
     m = system.m
-    basis = rational_nullspace(
-        [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
-    )
-    if len(basis) != m:
-        raise DegenerateSystem(f"expected null space of dimension {m}, got {len(basis)}")
-    form = _imaginary_form(m)
-    restricted = [[_dot(row_f, row) for row in basis] for row_f in (_vecmat(r, form) for r in basis)]
-    samples = _samples(
-        restricted, sample_count,
-        lambda i: [random_rational_complex(seed, f"ns{i}", j) for j in range(m)],
-    )
-    min_value = min(value for _, value in samples)
+    rows, pivots, det = _bareiss(_integer_rows(system.exact_coeffs))
+    free = [col for col in range(2 * m) if col not in pivots]
+    if len(free) != m:
+        raise DegenerateSystem(f"expected null space of dimension {m}, got {len(free)}")
+    basis = []
+    for col in free:
+        vec = [(0, 0)] * (2 * m)
+        vec[col] = det
+        for row, pivot in zip(rows, pivots):
+            vec[pivot] = (-row[col][0], -row[col][1])
+        basis.append(vec)
+    form, den = _integer_imaginary_form(m)
+    restricted = [[_gaussian_dot(left, row) for row in basis] for left in (_gaussian_vecmat(r, form) for r in basis)]
+    least = min(re for re, _ in _form_samples(restricted, sample_count, seed, "ns"))
+    min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count
     )

@@ -51,6 +51,18 @@ class TestCheck:
         assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
         assert report["tolerances"]["definiteness_tol"] == 1e-9
 
+    def test_row_near_double_range_is_factored(self, tmp_path):
+        # the row's 2-norm overflows a double; the SVD sees it scaled
+        huge = {"m": 1, "conditions": [{"a": [["1e308", "0"]], "b": [["1.7e308", "0"]]}]}
+        small = {"m": 1, "conditions": [{"a": [["1", "0"]], "b": [["1.7", "0"]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "huge.json", huge)])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        _, small_out, _ = run_cli(["check", write_json(tmp_path / "small.json", small)])
+        assert report["verdicts"] == json.loads(small_out)["verdicts"]
+        assert report["verdicts"]["dissipative"] is True
+        assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
+
     def test_example_then_check(self, tmp_path):
         code, out, _ = run_cli(["example", "--name", "odd-irregular", "--n", "2"])
         assert code == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import contraction, forms, polyoracle
+from bca import BoundaryConditionSystem, contraction, forms, polyoracle
 from bca.errors import DegenerateSystem
 from bca.polyoracle import (
     BoundaryVector,
@@ -39,6 +39,37 @@ def combination(weights, basis):
 
 
 MINUS_I_POWERS = (qc(1), qc(0, -1), qc(-1), qc(0, 1))
+
+
+def form_value(matrix, vector):
+    """``v M v*`` in RationalComplex arithmetic."""
+    left = [sum((a * row[col] for a, row in zip(vector, matrix)), qc(0)) for col in range(len(vector))]
+    return sum((x * b.conjugate() for x, b in zip(left, vector)), qc(0))
+
+
+def exact_system(rng, m, rank=None):
+    """A system with p/q entries (denominators 1..7) given exactly; with
+    ``rank``, rows are rational combinations of ``rank`` such rows."""
+    def draw(shape):
+        return [
+            [(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
+              Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))) for _ in range(shape[1])]
+            for _ in range(shape[0])
+        ]
+
+    rows = draw((m, 2 * m))
+    if rank is not None:
+        mix = draw((m, rank))
+        rows = [
+            [
+                (sum(a * c - b * d for (a, b), (c, d) in zip(t_row, col)),
+                 sum(a * d + b * c for (a, b), (c, d) in zip(t_row, col)))
+                for col in zip(*rows[:rank])
+            ]
+            for t_row in mix
+        ]
+    coeffs = [[complex(float(re), float(im)) for re, im in row] for row in rows]
+    return BoundaryConditionSystem(m, coeffs, exact=rows)
 
 
 class TestRationalComplex:
@@ -158,27 +189,26 @@ class TestGram:
     def test_gram_matches_the_polynomial_route(self, m):
         gram = polyoracle._gram(m)
         form = polyoracle._imaginary_form(m)
+        integer_form, den = polyoracle._integer_imaginary_form(m)
         for index in range(20):
             target = random_boundary_vector(m, seed=31, index=index)
             expected = l0_inner_product(hermite_interpolant(m, target), m)
-            value = polyoracle._form_value(gram, target.components)
-            assert MINUS_I_POWERS[m % 4] * value == expected
-            assert polyoracle._form_value(form, target.components) == qc(expected.im)
+            assert MINUS_I_POWERS[m % 4] * form_value(gram, target.components) == expected
+            assert form_value(form, target.components) == qc(expected.im)
+            scaled = polyoracle._scaled_draws(31, f"bv{index}", 2 * m)
+            assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
+            re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
+            assert (Fraction(re, 144 * den), im) == (expected.im, 0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_identities_hold_as_matrices(self, m):
         # a Hermitian form is fixed by its values, so these equalities prove
-        # both identities for every boundary vector, not only for samples
-        form = [list(row) for row in polyoracle._imaginary_form(m)]
-        boundary = polyoracle._exact_matrix(forms.build_M(m).matrix)
-        assert [[2 * value for value in row] for row in form] == boundary
-        canonical = polyoracle._canonical_form(m)
-        over_2i = qc(0, Fraction(-1, 2))
-        size = 2 * m
-        assert form == [
-            [(canonical[c][d] - canonical[d][c].conjugate()) * over_2i for d in range(size)]
-            for c in range(size)
-        ]
+        # both identities for every boundary vector, not only for samples:
+        # M - 2F = 0 and F - (S - S*)/2i = 0 as exact matrices
+        for difference in (polyoracle._boundary_difference, polyoracle._canonical_difference):
+            rows, den = difference(m)
+            assert den > 0
+            assert all(value == (0, 0) for row in rows for value in row)
 
 
 class TestIdentitySuites:
@@ -297,7 +327,14 @@ class TestSampleDissipativity:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_the_polynomial_route(self, m):
         rng = np.random.default_rng(40 + m)
-        for system in (helpers.random_system(rng, m), helpers.random_dissipative(rng, m)):
+        floats = helpers.random_system(rng, m)
+        systems = (
+            floats,
+            helpers.random_dissipative(rng, m),
+            exact_system(rng, m),
+            helpers.recombined(floats, helpers.random_recombination(rng, m)),
+        )
+        for system in systems:
             basis = rational_nullspace(
                 [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
             )
@@ -310,18 +347,68 @@ class TestSampleDissipativity:
 
     def test_sample_count_checked_before_any_elimination(self, monkeypatch):
         calls = []
-        rref, form = polyoracle._rref, polyoracle._imaginary_form
-        monkeypatch.setattr(polyoracle, "_rref", lambda rows: calls.append("rref") or rref(rows))
-        monkeypatch.setattr(polyoracle, "_imaginary_form", lambda m: calls.append("form") or form(m))
+        bareiss, form = polyoracle._bareiss, polyoracle._integer_imaginary_form
+        monkeypatch.setattr(polyoracle, "_bareiss", lambda rows: calls.append("bareiss") or bareiss(rows))
+        monkeypatch.setattr(
+            polyoracle, "_integer_imaginary_form", lambda m: calls.append("form") or form(m)
+        )
         with pytest.raises(ValueError):
             sample_dissipativity(helpers.dirichlet_m2(), 0, seed=0)
         assert calls == []
         sample_dissipativity(helpers.dirichlet_m2(), 1, seed=0)
-        assert calls == ["rref", "form"]
+        assert calls == ["bareiss", "form"]
 
     def test_degenerate_rows_rejected(self):
-        from bca import BoundaryConditionSystem
-
         system = BoundaryConditionSystem(2, [[1, 0, 0, 0], [1, 0, 0, 0]])
         with pytest.raises(DegenerateSystem):
             sample_dissipativity(system, 3, seed=0)
+
+
+class TestBareiss:
+    @staticmethod
+    def assert_matches_rref(system):
+        exact = [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+        rows, pivots, det = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
+        rref_rows, rref_pivots = polyoracle._rref(exact)
+        assert pivots == rref_pivots
+        assert [[qc(*value) / qc(*det) for value in row] for row in rows] == rref_rows
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+    def test_matches_rref(self, m):
+        rng = np.random.default_rng(70 + m)
+        self.assert_matches_rref(exact_system(rng, m))
+        self.assert_matches_rref(helpers.random_system(rng, m))
+
+    @pytest.mark.parametrize("m, rank", [(2, 1), (3, 1), (4, 2), (5, 3), (8, 5)])
+    def test_rank_deficient_matches_rref(self, m, rank):
+        system = exact_system(np.random.default_rng(80 + m), m, rank=rank)
+        self.assert_matches_rref(system)
+        _, pivots, _ = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
+        assert len(pivots) == rank
+
+    def test_zero_leading_entry_swaps_rows(self):
+        half = Fraction(1, 2)
+        rows = [
+            [(0, 0), (2, 1), (half, 0), (1, 0)],
+            [(3, 0), (1, -1), (0, Fraction(2, 3)), (0, 0)],
+        ]
+        system = BoundaryConditionSystem(
+            2, [[complex(float(re), float(im)) for re, im in row] for row in rows], exact=rows
+        )
+        self.assert_matches_rref(system)
+        integer_rows = polyoracle._integer_rows(system.exact_coeffs)
+        assert integer_rows[0] == [(0, 0), (4, 2), (1, 0), (2, 0)]  # scaled by lcm 2
+        assert polyoracle._bareiss(integer_rows)[0][0][0] != (0, 0)
+
+    def test_zero_matrix_has_no_pivots(self):
+        assert polyoracle._bareiss([[(0, 0)] * 3] * 2) == ([[(0, 0)] * 3] * 2, [], (1, 0))
+
+    def test_exact_quotient(self):
+        assert polyoracle._exact_quotient((6, -4), (2, 0)) == (3, -2)
+        assert polyoracle._exact_quotient((2, 0), (1, 1)) == (1, -1)
+        assert polyoracle._exact_quotient((-5, 10), (1, 2)) == (3, 4)
+
+    @pytest.mark.parametrize("a, b", [((3, 0), (2, 0)), ((0, 7), (-2, 0)), ((1, 0), (1, 1)), ((3, 5), (2, 1))])
+    def test_inexact_division_raises(self, a, b):
+        with pytest.raises(ArithmeticError):
+            polyoracle._exact_quotient(a, b)
