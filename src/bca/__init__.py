@@ -29,7 +29,6 @@ from .contraction import (
     to_contraction,
 )
 from .forms import (
-    BoundaryFormMatrix,
     DissipativityVerdict,
     build_M,
     dissipativity_verdict,
@@ -42,7 +41,6 @@ from .numerics import (
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
-    nullspace_basis,
     operator_norm,
     subspace_distance,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "contraction_roundtrip_defect",
     "from_contraction",
     "to_contraction",
-    "BoundaryFormMatrix",
     "DissipativityVerdict",
     "build_M",
     "dissipativity_verdict",
@@ -94,7 +91,6 @@ __all__ = [
     "Definiteness",
     "TolerancePolicy",
     "hermitian_classify",
-    "nullspace_basis",
     "operator_norm",
     "subspace_distance",
     "BoundaryVector",

@@ -22,6 +22,15 @@ from .errors import BadShape, DependentRows, OddOrderUnsupported, ZeroRow
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
+def _binary_scaled_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Each row scaled by a power of two so that its largest real or
+    imaginary part lies in [1, 2): exact in binary, keeps the row span, and
+    keeps rows near either end of the double range from overflowing."""
+    top = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)).max(axis=1)
+    shift = (1 - np.frexp(top)[1])[:, None]
+    return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
+
+
 @dataclass(frozen=True)
 class BoundaryConditionSystem:
     """Order ``m`` plus the ``m x 2m`` coefficient matrix ``[A | B]``."""
@@ -71,16 +80,10 @@ class BoundaryConditionSystem:
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and right singular vectors of ``coeffs``, each
-        row first scaled by a power of two so that its largest real or
-        imaginary part lies in [1, 2) (exact in binary, keeps the row span,
-        and keeps rows near the double range from overflowing the SVD);
-        computed once per system; each consumer applies its own cutoff."""
-        coeffs = self.coeffs
-        top = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)).max(axis=1)
-        shift = (1 - np.frexp(top)[1])[:, None]
-        scaled = np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
-        _, sigma, vh = np.linalg.svd(scaled)
+        """Singular values and right singular vectors of ``coeffs``, its
+        rows first scaled by :func:`_binary_scaled_rows`; computed once per
+        system; each consumer applies its own cutoff."""
+        _, sigma, vh = np.linalg.svd(_binary_scaled_rows(self.coeffs))
         return sigma, vh
 
     def nullspace(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -144,7 +147,8 @@ def normalize(
 ) -> NormalizedSystem:
     """Rewrite the system in minimal form, preserving its row span.
 
-    Rows are scaled to unit largest entry, then one pass over the
+    Rows are scaled to unit largest entry, after :func:`_binary_scaled_rows`
+    (so subnormal rows do not overflow), then one pass over the
     derivative index k = m-1, ..., 0 builds the column rank profile: the
     rows without an order vanish beyond k, and those whose (a_k, b_k)
     pair is nonzero get order k when their pairs are linearly
@@ -156,7 +160,8 @@ def normalize(
     """
     validate(system, tol)
     m = system.m
-    rows = system.coeffs / np.abs(system.coeffs).max(axis=1, keepdims=True)
+    scaled = _binary_scaled_rows(system.coeffs)
+    rows = scaled / np.abs(scaled).max(axis=1, keepdims=True)
     orders = np.full(m, -1)
     derivative = np.arange(2 * m) % m  # derivative index of each column
     for k in range(m - 1, -1, -1):

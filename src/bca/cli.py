@@ -429,9 +429,11 @@ def _resolve_tolerances(args) -> TolerancePolicy:
         raise FileFormatError(f"{source}: {exc}") from exc
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         tol = _resolve_tolerances(args)
         report = _build_report(args, tol)

@@ -11,8 +11,9 @@ For odd order the summed first components carry a 1/sqrt(2) weight and
 the high-order vector is globally negated relative to the naive
 quasi-derivative stacking; this is the unique scaling under which the
 identity above holds (certified exactly by the rational oracle).  The
-integer parts of the maps are exposed separately so exact-arithmetic
-consumers only ever see the rational weight 1/2 of a doubled product.
+integer parts of the maps and the squared row weights ``w^2`` in {1/2, 1}
+are exposed separately; both are exact in binary, so exact-arithmetic
+consumers never meet the irrational sqrt(1/2).
 """
 
 from __future__ import annotations

@@ -22,24 +22,14 @@ from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
 
 @dataclass(frozen=True)
-class BoundaryFormMatrix:
-    """The 2m x 2m Hermitian matrix of the boundary form, plus its blocks."""
-
-    m: int
-    matrix: np.ndarray
-    block0: np.ndarray
-    block1: np.ndarray
-
-
-@dataclass(frozen=True)
 class DissipativityVerdict:
     dissipative: bool
     selfadjoint: bool
     gram_eigenvalues: tuple[float, ...]
 
 
-def build_M(m: int) -> BoundaryFormMatrix:
-    """Boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``.
+def build_M(m: int) -> np.ndarray:
+    """Read-only 2m x 2m boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``.
 
     Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``.
     Entries are exact Gaussian integers (0, +-1, +-i), so the matrix
@@ -49,15 +39,14 @@ def build_M(m: int) -> BoundaryFormMatrix:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     unit = -(1j ** ((m + 1) % 4))  # -i^(m+1), exact: the exponent stays small
-    block0 = np.zeros((m, m), dtype=np.complex128)
+    block = np.zeros((m, m), dtype=np.complex128)
     for p in range(m):
-        block0[p, m - 1 - p] = unit * (-1) ** p
-    block1 = -block0
+        block[p, m - 1 - p] = unit * (-1) ** p
     matrix = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    matrix[:m, :m] = block0
-    matrix[m:, m:] = block1
+    matrix[:m, :m] = block
+    matrix[m:, m:] = -block
     matrix.setflags(write=False)
-    return BoundaryFormMatrix(m=m, matrix=matrix, block0=block0, block1=block1)
+    return matrix
 
 
 def gram_on_nullspace(
@@ -72,7 +61,7 @@ def gram_on_nullspace(
     """
     validate(system, tol)
     basis = system.nullspace(tol)
-    form = build_M(system.m).matrix
+    form = build_M(system.m)
     gram = basis.T @ form @ np.conj(basis)
     return (gram + gram.conj().T) / 2.0
 
@@ -100,9 +89,9 @@ def dual_gram(system: BoundaryConditionSystem) -> np.ndarray:
     dual of :func:`gram_on_nullspace` and is kept consistent with it by
     property tests.
     """
-    form = build_M(system.m)
-    a, b = system.a, system.b
-    gram = np.conj(a) @ form.block0 @ a.T + np.conj(b) @ form.block1 @ b.T
+    m, a, b = system.m, system.a, system.b
+    form = build_M(m)
+    gram = np.conj(a) @ form[:m, :m] @ a.T + np.conj(b) @ form[m:, m:] @ b.T
     return (gram + gram.conj().T) / 2.0
 
 

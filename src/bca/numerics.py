@@ -1,9 +1,9 @@
 """Small dense complex linear algebra with explicit tolerance policies.
 
 Every verdict in the package reduces to a handful of primitives collected
-here: Hermitian definiteness classification, SVD null spaces, subspace
-comparison and the spectral norm.  All functions are pure and safe for
-concurrent use.
+here: Hermitian definiteness classification, SVD ranks and row spans,
+subspace comparison and the spectral norm.  All functions are pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> in
     """Number of singular values above ``tol.rank_tol * ||C||_F``, where
     ``||C||_F`` is the 2-norm of all of ``C``'s singular values ``sigma``."""
     return int(np.sum(sigma > tol.rank_tol * float(np.linalg.norm(sigma))))
-
-
-def nullspace_basis(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal basis (as columns) of ``{x : C x = 0}``; it has
-    ``cols - rank`` columns, with the rank of :func:`svd_rank`."""
-    _, sigma, vh = np.linalg.svd(as_complex_matrix(matrix))
-    return vh[svd_rank(sigma, tol) :].conj().T
 
 
 def numerical_rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:

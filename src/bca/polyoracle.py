@@ -16,8 +16,12 @@ there is no tolerance anywhere in this module.
 The sampled forms run fraction-free: each exact matrix is Gaussian
 integers (pairs of Python ints) over one denominator, and each drawn
 rational vector is scaled by ``STREAM_SCALE``, so every sample is an
-integer sum and one Fraction is built per report.  The identity suites
-evaluate one difference form, built per call, that vanishes exactly when the
+integer sum and one Fraction is built per report.  F comes straight from
+the Gram in closed form.  Both identities say that a closed-form
+Hermitian target equals ``scale F``: the boundary form matrix M with
+scale 2, and the canonical form ``(S - S*)/2i`` with scale 1.  Each suite
+builds ``target - scale F`` per call, from a numpy target whose entries
+are exact in binary, and that difference vanishes exactly when the
 identity holds.  The dissipativity spot-check scales each condition row
 to Gaussian integers and eliminates by Bareiss's fraction-free
 Gauss-Jordan method, whose every division is exact and checked; the
@@ -312,20 +316,6 @@ def _gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-@functools.cache
-def _imaginary_form(m: int) -> tuple[tuple[RationalComplex, ...], ...]:
-    """Hermitian F with ``Im(L0 y, y) = yh F yh*``: the Hermitian imaginary
-    part ``(Z - Z*)/(2i)`` of ``Z = (-i)^m G``, that is
-    ``F[c][d] = p G[c][d] + conj(p) G[d][c]`` with ``p = (-i)^(m+1) / 2``."""
-    gram = _gram(m)
-    p = _minus_i_power(m + 1) * Fraction(1, 2)
-    p_conj = p.conjugate()
-    size = 2 * m
-    return tuple(
-        tuple(p * gram[c][d] + p_conj * gram[d][c] for d in range(size)) for c in range(size)
-    )
-
-
 def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
     """Exact derivatives 0..m-1 of y at both endpoints."""
     at0, at1 = [], []
@@ -440,10 +430,6 @@ def _over_one_denominator(rows) -> tuple[GaussianRows, int]:
     return [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in row] for row in ratios], den
 
 
-def _complex_pairs(matrix: np.ndarray) -> list[list[tuple[float, float]]]:
-    return [[(z.real, z.imag) for z in row] for row in matrix.tolist()]
-
-
 def _gaussian_vecmat(vector, rows) -> list[Gaussian]:
     """Gaussian-integer row vector times a Gaussian-integer matrix."""
     out_re, out_im = [0] * len(rows[0]), [0] * len(rows[0])
@@ -467,8 +453,19 @@ def _gaussian_dot(u, v) -> Gaussian:
 
 @functools.cache
 def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
-    """:func:`_imaginary_form` as Gaussian integers over one denominator."""
-    return _over_one_denominator([[(z.re, z.im) for z in row] for row in _imaginary_form(m)])
+    """Hermitian F with ``Im(L0 y, y) = yh F yh*`` as Gaussian integers over
+    one denominator: the imaginary part ``(Z - Z*)/(2i)`` of ``Z = (-i)^m G``,
+    ``F[c][d] = (Re p (G[c][d] + G[d][c]), Im p (G[c][d] - G[d][c]))`` with
+    ``p = (-i)^(m+1) / 2``."""
+    gram = _gram(m)
+    p = _minus_i_power(m + 1) * Fraction(1, 2)
+    size = 2 * m
+    return _over_one_denominator(
+        [
+            [(p.re * (gram[c][d] + gram[d][c]), p.im * (gram[c][d] - gram[d][c])) for d in range(size)]
+            for c in range(size)
+        ]
+    )
 
 
 def _check_sample_count(sample_count: int) -> None:
@@ -486,27 +483,29 @@ def _form_samples(rows, sample_count: int, seed: int, tag: str) -> list[Gaussian
     ]
 
 
-def _identity_report(m: int, sample_count: int, seed: int, difference) -> IdentityReport:
+def _difference(m: int, target: np.ndarray, scale: int) -> tuple[GaussianRows, int]:
+    """``target - scale F`` over one denominator, for a 2m x 2m numpy
+    matrix target whose entries are exact in binary."""
+    exact, t_den = _over_one_denominator([[(z.real, z.imag) for z in row] for row in target.tolist()])
+    form, f_den = _integer_imaginary_form(m)
+    return [
+        [(tr * f_den - scale * fr * t_den, ti * f_den - scale * fi * t_den) for (tr, ti), (fr, fi) in zip(t_row, f_row)]
+        for t_row, f_row in zip(exact, form)
+    ], t_den * f_den
+
+
+def _identity_report(m: int, sample_count: int, seed: int, target, scale: int) -> IdentityReport:
     """Largest defect ``|Re q| + |Im q|`` of ``q = yh D yh*`` over sampled
     rational boundary vectors yh (those of :func:`random_boundary_vector`),
-    with D = difference(m) a form that is 0 exactly when the identity holds."""
+    with ``D = target(m) - scale F``, a form that is 0 exactly when the
+    identity ``yh target(m) yh* = scale Im(L0 y, y)`` holds."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
-    rows, den = difference(m)
+    rows, den = _difference(m, target(m), scale)
     worst = max(abs(re) + abs(im) for re, im in _form_samples(rows, sample_count, seed, "bv"))
     max_defect = Fraction(worst, STREAM_SCALE**2 * den)
     return IdentityReport(passed=max_defect == 0, max_defect=max_defect, samples=sample_count)
-
-
-def _boundary_difference(m: int) -> tuple[GaussianRows, int]:
-    """``M - 2F`` over one denominator, M from :func:`forms.build_M`."""
-    boundary, b_den = _over_one_denominator(_complex_pairs(forms.build_M(m).matrix))
-    form, f_den = _integer_imaginary_form(m)
-    return [
-        [(br * f_den - 2 * fr * b_den, bi * f_den - 2 * fi * b_den) for (br, bi), (fr, fi) in zip(b_row, f_row)]
-        for b_row, f_row in zip(boundary, form)
-    ], b_den * f_den
 
 
 def verify_boundary_form_identity(
@@ -520,50 +519,22 @@ def verify_boundary_form_identity(
     reported defect is the largest ``|2 Im(L0 y, y) - Re rhs| + |Im rhs|``
     with ``rhs = yh M yh*``.
     """
-    return _identity_report(m, sample_count, seed, _boundary_difference)
+    return _identity_report(m, sample_count, seed, forms.build_M, 2)
 
 
-def _canonical_form(m: int) -> tuple[GaussianRows, int]:
-    """S with ``Im<yv, y^> = Im(yh S yh*)``, ``S[c][d] = sum_r w_r^2 q_rc
-    conj(p_rd)``, as Gaussian integers over one denominator.
-
-    The canonical maps enter through their Gaussian-integer components
-    and squared row weights, so the odd-case sqrt(1/2) factors appear
-    only as the exact rational 1/2 of a doubled product.
-    """
+def _canonical_target(m: int) -> np.ndarray:
+    """``(S - S*) / 2i``, the Hermitian form of ``Im<yv, y^> = Im(yh S yh*)``,
+    with ``S = Q_int^T diag(w^2) conj(P_int)`` from
+    :func:`contraction.integer_canonical_components`.  Every entry is a sum
+    of 0, +-1 or +-i times 1/2 or 1, so numpy forms it exactly."""
     p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
-    p, p_den = _over_one_denominator(_complex_pairs(p_int))
-    q, q_den = _over_one_denominator(_complex_pairs(q_int))
-    (weights,), w_den = _over_one_denominator([[(w, 0) for w in weight_sq]])
-    p_conj = [[(re, -im) for re, im in row] for row in p]
-    return [
-        _gaussian_vecmat([(re * w, im * w) for (re, im), (w, _) in zip(q_col, weights)], p_conj)
-        for q_col in zip(*q)
-    ], p_den * q_den * w_den
-
-
-def _canonical_difference(m: int) -> tuple[GaussianRows, int]:
-    """``F - (S - S*) / 2i`` over one denominator: the Hermitian form of
-    ``Im(L0 y, y) - Im(yh S yh*)``."""
-    s, s_den = _canonical_form(m)
-    form, f_den = _integer_imaginary_form(m)
-    size = 2 * m
-    # (x + iy) / 2i = (y - ix) / 2 with x + iy = S[c][d] - conj(S[d][c])
-    return [
-        [
-            (
-                2 * s_den * form[c][d][0] - f_den * (s[c][d][1] + s[d][c][1]),
-                2 * s_den * form[c][d][1] + f_den * (s[c][d][0] - s[d][c][0]),
-            )
-            for d in range(size)
-        ]
-        for c in range(size)
-    ], 2 * s_den * f_den
+    s = q_int.T @ (np.array([float(w) for w in weight_sq])[:, None] * p_int.conj())
+    return (s - s.conj().T) / 2j
 
 
 def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly on sampled rationals."""
-    return _identity_report(m, sample_count, seed, _canonical_difference)
+    return _identity_report(m, sample_count, seed, _canonical_target, 1)
 
 
 def rational_nullspace(

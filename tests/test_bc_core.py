@@ -84,6 +84,31 @@ class TestNormalize:
         assert abs(low[0]) == pytest.approx(1.0)  # the surviving y(0) term
         assert np.allclose(low[1:], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [-1070, -500, 0, 500, 1000])
+    def test_power_of_two_row_scaling_changes_no_bit(self, k):
+        # small Gaussian integers times 2^k stay exact down to the subnormals
+        rng = np.random.default_rng(17)
+        systems = [np.array([[1, 1, 0, 1], [0, 1, 0, 1]], dtype=complex)]
+        for m in range(1, 7):
+            for _ in range(10):
+                parts = rng.integers(-3, 4, size=(2, m, 2 * m)) * (rng.random((2, m, 2 * m)) < 0.6)
+                systems.append(parts[0] + 1j * parts[1])
+        checked = 0
+        for coeffs in systems:
+            m = coeffs.shape[0]
+            try:
+                expected = normalize(BoundaryConditionSystem(m, coeffs))
+            except (DependentRows, ZeroRow):
+                continue
+            scaled = np.empty_like(coeffs)
+            scaled.real, scaled.imag = np.ldexp(coeffs.real, k), np.ldexp(coeffs.imag, k)
+            result = normalize(BoundaryConditionSystem(m, scaled))
+            assert result.orders == expected.orders
+            assert result.base.coeffs.tobytes() == expected.base.coeffs.tobytes()
+            assert np.array(result.leading).tobytes() == np.array(expected.leading).tobytes()
+            checked += 1
+        assert checked > 40
+
     def test_dirichlet_unchanged(self):
         result = normalize(helpers.dirichlet_m2())
         assert result.orders == (0, 0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core
+from bca import bc_core, cli
 from bca.cli import main
 
 
@@ -60,6 +60,16 @@ class TestCheck:
         report = json.loads(out)
         _, small_out, _ = run_cli(["check", write_json(tmp_path / "small.json", small)])
         assert report["verdicts"] == json.loads(small_out)["verdicts"]
+        assert report["verdicts"]["dissipative"] is True
+        assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
+
+    def test_subnormal_row_is_normalized(self, tmp_path):
+        # 1 / (largest |entry|) of this row overflows a double
+        tiny = {"m": 1, "conditions": [{"a": [["1e-320", "0"]], "b": [["3e-320", "1e-321"]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "tiny.json", tiny)])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["orders"] == [0]
         assert report["verdicts"]["dissipative"] is True
         assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
 
@@ -258,6 +268,18 @@ class TestVerify:
         report = json.loads(out)
         assert report["boundary_form"] == {"passed": True, "max_defect": "0"}
         assert report["canonical_coordinates"] == {"passed": True, "max_defect": "0"}
+
+
+class TestParser:
+    def test_main_builds_no_parser(self, monkeypatch):
+        def fail():
+            raise AssertionError("the parser is built once, at import")
+
+        monkeypatch.setattr(cli, "_build_parser", fail)
+        for seed in ("1", "2"):
+            code, out, _ = run_cli(["verify", "--m", "2", "--samples", "1", "--seed", seed])
+            assert code == 0
+            assert json.loads(out)["seed"] == int(seed)
 
 
 class TestErrorHandling:

@@ -17,25 +17,27 @@ from bca.errors import DependentRows
 
 class TestBoundaryFormMatrix:
     def test_m1_blocks(self):
-        form = build_M(1)
-        assert np.array_equal(form.matrix, np.diag([1, -1]).astype(complex))
+        assert np.array_equal(build_M(1), np.diag([1, -1]).astype(complex))
 
     def test_m2_blocks(self):
         form = build_M(2)
-        assert np.array_equal(form.block0, np.array([[0, 1j], [-1j, 0]]))
-        assert np.array_equal(form.block1, np.array([[0, -1j], [1j, 0]]))
+        assert np.array_equal(form[:2, :2], np.array([[0, 1j], [-1j, 0]]))
+        assert np.array_equal(form[2:, 2:], np.array([[0, -1j], [1j, 0]]))
+        assert not form[:2, 2:].any() and not form[2:, :2].any()
 
     def test_m3_blocks(self):
         form = build_M(3)
         k3 = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
-        assert np.array_equal(form.block0, -k3)
-        assert np.array_equal(form.block1, k3)
+        assert np.array_equal(form[:3, :3], -k3)
+        assert np.array_equal(form[3:, 3:], k3)
+        assert not form[:3, 3:].any() and not form[3:, :3].any()
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_hermitian_with_balanced_unit_spectrum(self, m):
         form = build_M(m)
-        assert np.allclose(form.matrix, form.matrix.conj().T)
-        eigenvalues = np.sort(np.linalg.eigvalsh(form.matrix))
+        assert not form.flags.writeable
+        assert np.allclose(form, form.conj().T)
+        eigenvalues = np.sort(np.linalg.eigvalsh(form))
         assert np.allclose(eigenvalues[:m], -1.0, atol=1e-12)
         assert np.allclose(eigenvalues[m:], 1.0, atol=1e-12)
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from bca.bc_core import BoundaryConditionSystem
 from bca.errors import DimensionMismatch, NonHermitianInput
 from bca.numerics import (
     DEFAULT_TOLERANCES,
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
-    nullspace_basis,
     operator_norm,
     row_span_basis,
     subspace_distance,
@@ -81,36 +81,35 @@ class TestHermitianClassify:
 
 class TestNullspace:
     def test_coordinate_kill(self):
-        basis = nullspace_basis(np.array([[1.0, 0.0]]))
+        basis = BoundaryConditionSystem(1, [[1.0, 0.0]]).nullspace()
         assert basis.shape == (2, 1)
         assert subspace_distance(basis, np.array([[0.0], [1.0]])) <= 1e-12
 
     def test_other_coordinate(self):
-        basis = nullspace_basis(np.array([[0.0, 1.0]]))
+        basis = BoundaryConditionSystem(1, [[0.0, 1.0]]).nullspace()
         assert subspace_distance(basis, np.array([[1.0], [0.0]])) <= 1e-12
 
     def test_transport_kernel(self):
-        basis = nullspace_basis(np.array([[1.0, 1.0]]))
+        basis = BoundaryConditionSystem(1, [[1.0, 1.0]]).nullspace()
         target = np.array([[1.0], [-1.0]]) / np.sqrt(2)
         assert subspace_distance(basis, target) <= 1e-12
 
     def test_residual_and_dimension_count(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            rows = int(rng.integers(1, 6))
-            cols = int(rng.integers(1, 7))
-            mat = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            if rng.random() < 0.4 and rows > 1:
+            m = int(rng.integers(1, 6))
+            cols = 2 * m
+            mat = rng.normal(size=(m, cols)) + 1j * rng.normal(size=(m, cols))
+            if rng.random() < 0.4 and m > 1:
                 mat[-1] = mat[0] * (1 + 2j)  # plant a dependency
-            basis = nullspace_basis(mat)
+            basis = BoundaryConditionSystem(m, mat).nullspace()
             sigma = np.linalg.svd(mat, compute_uv=False)
             rank = int(np.sum(sigma > DEFAULT_TOLERANCES.rank_tol * np.linalg.norm(mat)))
             assert rank + basis.shape[1] == cols
             for col in basis.T:
                 assert np.linalg.norm(mat @ col) <= 1e-9 * np.linalg.norm(mat)
-            if basis.shape[1]:
-                gram = basis.conj().T @ basis
-                assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-12)
+            gram = basis.conj().T @ basis
+            assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-12)
 
 
 class TestSubspaceDistance:

@@ -188,25 +188,24 @@ class TestGram:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_gram_matches_the_polynomial_route(self, m):
         gram = polyoracle._gram(m)
-        form = polyoracle._imaginary_form(m)
         integer_form, den = polyoracle._integer_imaginary_form(m)
         for index in range(20):
             target = random_boundary_vector(m, seed=31, index=index)
             expected = l0_inner_product(hermite_interpolant(m, target), m)
             assert MINUS_I_POWERS[m % 4] * form_value(gram, target.components) == expected
-            assert form_value(form, target.components) == qc(expected.im)
             scaled = polyoracle._scaled_draws(31, f"bv{index}", 2 * m)
             assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
             re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
             assert (Fraction(re, 144 * den), im) == (expected.im, 0)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_identities_hold_as_matrices(self, m):
         # a Hermitian form is fixed by its values, so these equalities prove
         # both identities for every boundary vector, not only for samples:
-        # M - 2F = 0 and F - (S - S*)/2i = 0 as exact matrices
-        for difference in (polyoracle._boundary_difference, polyoracle._canonical_difference):
-            rows, den = difference(m)
+        # M - 2F = 0 and (S - S*)/2i - F = 0 as exact matrices, which also
+        # shows that numpy forms both targets exactly
+        for target, scale in ((forms.build_M, 2), (polyoracle._canonical_target, 1)):
+            rows, den = polyoracle._difference(m, target(m), scale)
             assert den > 0
             assert all(value == (0, 0) for row in rows for value in row)
 
@@ -236,11 +235,10 @@ class TestIdentitySuites:
         build_M = forms.build_M
 
         def perturbed(order):
-            exact = build_M(order)
-            matrix = exact.matrix.copy()
+            matrix = build_M(order).copy()
             matrix[0, -1] += 1
             matrix[-1, 0] += mirror
-            return forms.BoundaryFormMatrix(order, matrix, exact.block0, exact.block1)
+            return matrix
 
         monkeypatch.setattr(forms, "build_M", perturbed)
         report = verify_boundary_form_identity(m, sample_count=5, seed=21)
