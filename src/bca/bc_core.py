@@ -203,15 +203,18 @@ def rank_profile_orders(
 
     ``#{j : k_j > t}`` equals the rank of the submatrix formed by the
     columns of derivative index > t at both endpoints; differencing the
-    profile yields the multiset.  Serves as an independent cross-check of
-    :func:`orders_multiset`.
+    profile yields the multiset.  The blocks are taken of the rows scaled
+    by :func:`_binary_scaled_rows`, which keeps every block's rank and
+    keeps rows near either end of the double range from overflowing.
+    Serves as an independent cross-check of :func:`orders_multiset`.
     """
     validate(system, tol)
     m = system.m
+    scaled = _binary_scaled_rows(system.coeffs)
     count_above = [m]  # number of rows with order > t for t = -1..m-1
     for t in range(m - 1):
         cols = list(range(t + 1, m)) + list(range(m + t + 1, 2 * m))
-        count_above.append(numerics.numerical_rank(system.coeffs[:, cols], tol))
+        count_above.append(numerics.numerical_rank(scaled[:, cols], tol))
     count_above.append(0)
     orders: list[int] = []
     for t in range(m):

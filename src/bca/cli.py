@@ -156,7 +156,11 @@ def parse_condition_data(data: dict) -> BoundaryConditionSystem:
         exact.append(
             _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(row.get("b"), m, f"{where}.b")
         )
-    return BoundaryConditionSystem(m, _rounded(exact), exact=exact)
+    rounded = _rounded(exact)
+    for j, (exact_row, row) in enumerate(zip(exact, rounded)):
+        if any(re or im for re, im in exact_row) and not any(row):
+            raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
+    return BoundaryConditionSystem(m, rounded, exact=exact)
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +214,14 @@ class TestOrdersMultiset:
             mixed = helpers.recombined(system, r)
             assert orders_multiset(mixed) == reference
             assert rank_profile_orders(mixed) == reference
+
+    def test_rank_profile_of_rows_near_double_range(self):
+        # the squared norm of the unscaled derivative-1 column block lies
+        # beyond the double range
+        system = BoundaryConditionSystem(2, [[1e300, 1e300, 0, 0], [0, 1e-300, 1e-300, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rank_profile_orders(system) == orders_multiset(system) == (1, 0)
 
 
 class TestTruncateLeading:

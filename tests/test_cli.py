@@ -73,6 +73,25 @@ class TestCheck:
         assert report["verdicts"]["dissipative"] is True
         assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
 
+    def test_row_underflowing_to_zero_names_field(self, tmp_path):
+        # |b| > |a| exactly, but both round to 0.0
+        lost = {"m": 1, "conditions": [{"a": [["1e-400", "0"]], "b": [["2e-400", "0"]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "lost.json", lost)])
+        assert code == 2 and out == ""
+        assert err == "error: conditions[0]: nonzero row underflows to zero as doubles\n"
+
+    def test_one_underflowing_entry_is_accepted(self, tmp_path):
+        payload = {
+            "m": 2,
+            "conditions": [
+                {"a": [["1e-400", "0"], [1, 0]], "b": [[0, 0], [0, 0]]},
+                {"a": [[0, 0], [0, 0]], "b": [[1, 0], [0, 0]]},
+            ],
+        }
+        code, out, _ = run_cli(["check", write_json(tmp_path / "one.json", payload)])
+        assert code == 0
+        assert json.loads(out)["orders"] == [1, 0]
+
     def test_example_then_check(self, tmp_path):
         code, out, _ = run_cli(["example", "--name", "odd-irregular", "--n", "2"])
         assert code == 0
@@ -269,6 +288,13 @@ class TestVerify:
         assert report["boundary_form"] == {"passed": True, "max_defect": "0"}
         assert report["canonical_coordinates"] == {"passed": True, "max_defect": "0"}
 
+    def test_verify_top_order(self):
+        code, out, _ = run_cli(["verify", "--m", "16", "--samples", "1"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["boundary_form"] == {"passed": True, "max_defect": "0"}
+        assert report["canonical_coordinates"] == {"passed": True, "max_defect": "0"}
+
 
 class TestParser:
     def test_main_builds_no_parser(self, monkeypatch):
@@ -330,19 +356,19 @@ class TestErrorHandling:
         assert err == f"error: {field}: value out of double range\n"
 
     def test_verify_order_out_of_range(self):
-        code, _, err = run_cli(["verify", "--m", "9"])
+        code, _, err = run_cli(["verify", "--m", "17"])
         assert code == 2 and "order" in err
 
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["verify", "--m", "9"], "--m"),
+            (["verify", "--m", "17"], "--m"),
             (["verify", "--m", "0"], "--m"),
             (["verify", "--m", "3", "--samples", "0"], "--samples"),
             (["example", "--name", "odd-irregular", "--n", "0"], "--n"),
             (["example", "--name", "nope", "--n", "2"], "--name"),
         ],
-        ids=["verify-m9", "verify-m0", "verify-samples0", "example-n0", "example-name-nope"],
+        ids=["verify-m17", "verify-m0", "verify-samples0", "example-n0", "example-name-nope"],
     )
     def test_out_of_range_flag_names_flag(self, argv, flag):
         code, out, err = run_cli(argv)

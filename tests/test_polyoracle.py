@@ -260,9 +260,33 @@ class TestIdentitySuites:
         assert report.passed is False
         assert report.max_defect > 0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "module, name, suite",
+        [
+            (forms, "build_M", verify_boundary_form_identity),
+            (polyoracle, "_canonical_target", verify_canonical_identity),
+        ],
+        ids=["boundary-form", "canonical"],
+    )
+    def test_mutation_every_sample_misses_is_caught(self, monkeypatch, m, module, name, suite):
+        # u* u with u orthogonal to the one drawn vector yh is a nonzero
+        # Hermitian form whose value at yh is |yh u*|^2 = 0; 12 yh and so u
+        # are Gaussian integers, so the perturbed target stays exact in binary
+        yh = [complex(12 * z) for z in random_boundary_vector(m, seed=21, index=0).components]
+        u = np.zeros(2 * m, dtype=np.complex128)
+        u[0], u[1] = yh[1].conjugate(), -yh[0].conjugate()
+        perturbation = np.outer(u.conj(), u)
+        assert perturbation.any() and np.vdot(u, yh) == 0
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda order: build(order) + perturbation)
+        report = suite(m, sample_count=1, seed=21)
+        assert report.passed is False
+        assert report.max_defect == 0
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
-            verify_boundary_form_identity(9, 1, 0)
+            verify_boundary_form_identity(17, 1, 0)
         with pytest.raises(ValueError):
             verify_canonical_identity(0, 1, 0)
 
