@@ -121,7 +121,7 @@ def _rounded(rows) -> list[list[complex]]:
 def _load_json(raw: bytes, path: str) -> dict:
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FileFormatError(f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path!r}: top-level value must be an object")
@@ -194,6 +194,8 @@ def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
     if n < 1:
         raise FileFormatError(f"--n: family parameter must be >= 1, got {n}")
     m = 2 * n - 1
+    if m > polyoracle.MAX_ORDER:  # an unbounded n would only exhaust memory
+        raise FileFormatError(f"--n: family parameter must be <= {(polyoracle.MAX_ORDER + 1) // 2}, got {n}")
     coeffs = np.zeros((m, 2 * m), dtype=np.complex128)
     row = 0
     for k in range(2 * n - 2, n - 1, -1):

@@ -2,33 +2,34 @@
 
 Everything here runs in Gaussian-rational arithmetic.  The reference route
 realizes a boundary vector by a polynomial test function with exact
-coefficients (two-point Hermite interpolation: one exact matrix H per
-order, built on first use) and integrates
+coefficients (two-point Hermite interpolation) and integrates
 ``(L0 y, y) = integral of (-i)^m y^(m) conj(y)`` over [0, 1] exactly.  The
 inner product is linear in its first argument.  Composed with the
 monomial integral ``integral x^(a-m) x^b = 1/(a - m + b + 1)``, that route
-is one exact Gram per order, ``(L0 y, y) = (-i)^m yh G yh*`` with
+is one Gram per order, ``(L0 y, y) = (-i)^m yh G yh*`` with
 ``G = H Mono H^T``; the suites evaluate ``Im(L0 y, y)`` as the Hermitian
-form ``yh F yh*`` of its imaginary part F.  Because every quantity is
-exact, identity checks report a defect that must be literally zero --
-there is no tolerance anywhere in this module.
+form ``yh F yh*`` of its imaginary part F.  H, G and F are closed forms
+built in integers, with no elimination and no Fraction.  Because every
+quantity is exact, identity checks report a defect that must be literally
+zero -- there is no tolerance anywhere in this module.
 
 The sampled forms run fraction-free: each exact matrix is Gaussian
 integers (pairs of Python ints) over one denominator, and each drawn
 rational vector is scaled by ``STREAM_SCALE``, so every sample is an
-integer sum and one Fraction is built per report.  F comes straight from
-the Gram in closed form.  Both identities say that a closed-form
-Hermitian target equals ``scale F``: the boundary form matrix M with
-scale 2, and the canonical form ``(S - S*)/2i`` with scale 1.  Each suite
-builds ``D = target - scale F`` per call, from a numpy target whose
-entries are exact in binary.  A Hermitian form is fixed by its values, so
-D is the zero matrix exactly when the identity holds for every boundary
-vector: that is the certificate a suite reports as ``passed``.  The
-reported defect is the largest value of D at drawn boundary vectors.  The
-dissipativity spot-check scales each condition row to Gaussian integers
-and eliminates by Bareiss's fraction-free Gauss-Jordan method, whose
-every division is exact and checked; the result is the RREF null-space
-basis times one Gaussian integer.  All three share one sampling loop.
+integer sum and one Fraction is built per report.  Both identities say
+that a closed-form Hermitian target equals ``scale F``: the boundary form
+matrix M with scale 2, and the canonical form ``(S - S*)/2i`` with scale
+1.  Each suite builds ``D = target - scale F`` per call, from a numpy
+target whose entries are exact in binary.  A Hermitian form is fixed by
+its values, so D is the zero matrix exactly when the identity holds for
+every boundary vector: that is the certificate a suite reports as
+``passed``.  The reported defect is the largest value of D at drawn
+boundary vectors.  The dissipativity spot-check scales each condition row
+to Gaussian integers and eliminates by Bareiss's fraction-free
+Gauss-Jordan method, whose every division is exact and checked; the
+result is the RREF null-space basis times one Gaussian integer.  All
+three share one sampling loop.  RationalComplex and ``_rref`` serve only
+the reference route.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
@@ -126,8 +127,8 @@ Gaussian = tuple[int, int]  # re + i im, as Python ints
 GaussianRows = list[list[Gaussian]]
 
 
-def _minus_i_power(m: int) -> RationalComplex:
-    return RationalComplex(*((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4])
+def _minus_i_power(m: int) -> Gaussian:
+    return ((1, 0), (0, -1), (-1, 0), (0, 1))[m % 4]
 
 
 class RationalComplexPolynomial:
@@ -266,60 +267,57 @@ def _vecmat(vector, rows) -> list[RationalComplex]:
 
 
 @functools.cache
-def _hermite_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row i holds the coefficients of the Hermite basis polynomial whose
-    boundary vector is the i-th unit vector, so ``t @ H`` interpolates t.
+def _hermite_matrix(m: int) -> tuple[tuple[int, ...], ...]:
+    """Integers whose row i, over ``(m-1)!``, holds the coefficients of the
+    Hermite basis polynomial whose boundary vector is the i-th unit vector.
 
-    Derivatives 0..m-1 at x=0 pin the low coefficients (``c_k = t_k / k!``,
-    D = diag(1/k!)).  The derivatives at x=1 give ``B c_high = t_high - A D
-    t_low`` with ``B[k][j] = perm(m + j, k)`` and ``A[k][i] = perm(i, k)``, so
-    one elimination of ``[B | -A D | I]`` yields every unit vector's high part.
+    Row k < m is ``x^k/k! (1-x)^m sum_{j<m-k} C(m-1+j, j) x^j``: ``(1-x)^m``
+    pins its derivatives at x=1 to 0, and the sum is the series of
+    ``(1-x)^-m`` below x^(m-k), so near 0 the row is ``x^k/k! + O(x^m)``.
+    Row m+k is ``(-1)^k`` times row k at 1-x.
     """
-    # the k-th derivative of x^p at x = 1 is p!/(p-k)! = perm(p, k)
-    block = [
-        [Fraction(math.perm(m + j, k)) for j in range(m)]
-        + [Fraction(-math.perm(i, k), math.factorial(i)) for i in range(m)]
-        + [Fraction(int(i == k)) for i in range(m)]
-        for k in range(m)
+    low = []
+    for k in range(m):
+        row, weight = [0] * (2 * m), math.factorial(m - 1) // math.factorial(k)
+        for j in range(m - k):
+            for i in range(m + 1):
+                row[k + j + i] += weight * math.comb(m - 1 + j, j) * (-1) ** i * math.comb(m, i)
+        low.append(row)
+    # p(1 - x) has the coefficients sum_a p_a C(a, b) (-1)^b
+    high = [
+        [(-1) ** (k + b) * sum(math.comb(a, b) * p for a, p in enumerate(row)) for b in range(2 * m)]
+        for k, row in enumerate(low)
     ]
-    # B is nonsingular, so the RREF is [I | high coefficients of each unit vector]
-    solved, _ = _rref(block)
-    return tuple(
-        tuple(Fraction(int(i == k), math.factorial(k)) for k in range(m))
-        + tuple(row[m + i] for row in solved)
-        for i in range(2 * m)
-    )
+    return tuple(map(tuple, low + high))
 
 
 def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolynomial:
     """Unique polynomial of degree <= 2m-1 matching the boundary vector:
-    the boundary vector times the exact Hermite matrix of order m."""
+    the boundary vector times the Hermite matrix of order m."""
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if target.m != m:
         raise ValueError(f"target has order {target.m}, expected {m}")
-    return RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
+    scaled = RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
+    return scaled * Fraction(1, math.factorial(m - 1))
 
 
-@functools.cache
-def _gram(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Real G with ``(L0 y, y) = (-i)^m yh G yh*`` for the Hermite
-    interpolant y of every boundary vector yh: ``G = H Mono H^T``.
+def _gram(m: int) -> tuple[list[list[int]], int]:
+    """Integers G and den with ``(L0 y, y) = (-i)^m yh G yh* / den`` for the
+    Hermite interpolant y of every boundary vector yh: ``G / den = H Mono H^T``.
 
     For ``y = sum_a c_a x^a``, ``integral_0^1 y^(m) conj(y) = c Mono c*`` with
     ``Mono[a][b] = perm(a, m) / (a - m + b + 1)`` (zero for a < m), and the
-    coefficients are ``c = yh H`` with H real.
+    coefficients are ``c = yh H`` with H real.  The divisors run from 1 to
+    3m - 1, so ``den = lcm(1..3m-1) (m-1)!^2`` clears Mono and both H.
     """
     size = 2 * m
-    mono = [
-        [Fraction(math.perm(a, m), a - m + b + 1) if a >= m else 0 for b in range(size)]
-        for a in range(size)
-    ]
+    lcm = math.lcm(*range(1, 3 * m))
+    mono = [[math.perm(a, m) * (lcm // (a - m + b + 1)) for b in range(size)] for a in range(m, size)]
     hermite = _hermite_matrix(m)
-    left = [[sum(h * row[b] for h, row in zip(h_row, mono)) for b in range(size)] for h_row in hermite]
-    return tuple(
-        tuple(sum(x * h for x, h in zip(left_row, h_row)) for h_row in hermite) for left_row in left
-    )
+    left = [[sum(h * row[b] for h, row in zip(h_row[m:], mono)) for b in range(size)] for h_row in hermite]
+    gram = [[sum(x * h for x, h in zip(left_row, h_row)) for h_row in hermite] for left_row in left]
+    return gram, lcm * math.factorial(m - 1) ** 2
 
 
 def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
@@ -341,7 +339,7 @@ def l0_inner_product(y: RationalComplexPolynomial, m: int) -> RationalComplex:
     for _ in range(m):
         deriv = deriv.derivative()
     product = deriv * y.conjugated()
-    return _minus_i_power(m) * product.integral_unit_interval()
+    return RationalComplex(*_minus_i_power(m)) * product.integral_unit_interval()
 
 
 def _stream_draw(seed: int, tag: str, index: int) -> tuple[int, int]:
@@ -428,14 +426,6 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
     return rows, pivots, prev
 
 
-def _over_one_denominator(rows) -> tuple[GaussianRows, int]:
-    """Gaussian integers G and the least den > 0 with ``rows == G / den``,
-    for rows of exact (re, im) pairs (ints, Fractions or floats)."""
-    ratios = [[(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in row] for row in rows]
-    den = math.lcm(*(q for row in ratios for pair in row for _, q in pair))
-    return [[(a * (den // b), c * (den // d)) for (a, b), (c, d) in row] for row in ratios], den
-
-
 def _gaussian_vecmat(vector, rows) -> list[Gaussian]:
     """Gaussian-integer row vector times a Gaussian-integer matrix."""
     out_re, out_im = [0] * len(rows[0]), [0] * len(rows[0])
@@ -460,18 +450,18 @@ def _gaussian_dot(u, v) -> Gaussian:
 @functools.cache
 def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
     """Hermitian F with ``Im(L0 y, y) = yh F yh*`` as Gaussian integers over
-    one denominator: the imaginary part ``(Z - Z*)/(2i)`` of ``Z = (-i)^m G``,
-    ``F[c][d] = (Re p (G[c][d] + G[d][c]), Im p (G[c][d] - G[d][c]))`` with
-    ``p = (-i)^(m+1) / 2``."""
-    gram = _gram(m)
-    p = _minus_i_power(m + 1) * Fraction(1, 2)
+    their least denominator: the imaginary part ``(Z - Z*)/(2i)`` of
+    ``Z = (-i)^m G``, ``F[c][d] = (Re q (G[c][d] + G[d][c]), Im q (G[c][d] -
+    G[d][c])) / 2`` with ``q = (-i)^(m+1)``, whose parts are 0 or +-1."""
+    gram, den = _gram(m)
+    q_re, q_im = _minus_i_power(m + 1)
     size = 2 * m
-    return _over_one_denominator(
-        [
-            [(p.re * (gram[c][d] + gram[d][c]), p.im * (gram[c][d] - gram[d][c])) for d in range(size)]
-            for c in range(size)
-        ]
-    )
+    rows = [
+        [(q_re * (gram[c][d] + gram[d][c]), q_im * (gram[c][d] - gram[d][c])) for d in range(size)]
+        for c in range(size)
+    ]
+    common = math.gcd(2 * den, *(part for row in rows for pair in row for part in pair))
+    return [[(re // common, im // common) for re, im in row] for row in rows], 2 * den // common
 
 
 def _check_sample_count(sample_count: int) -> None:
@@ -584,9 +574,14 @@ def rational_nullspace(
 
 
 def _integer_rows(rows) -> GaussianRows:
-    """Each row of exact (re, im) pairs times the lcm of its denominators:
-    Gaussian-integer rows with the same row span."""
-    return [_over_one_denominator([row])[0][0] for row in rows]
+    """Each row of exact (re, im) pairs (ints, Fractions or floats) times the
+    lcm of its denominators: Gaussian-integer rows with the same row span."""
+    integer_rows = []
+    for row in rows:
+        ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in row]
+        den = math.lcm(*(q for pair in ratios for _, q in pair))
+        integer_rows.append([(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios])
+    return integer_rows
 
 
 def sample_dissipativity(

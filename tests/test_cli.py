@@ -313,6 +313,18 @@ class TestErrorHandling:
         code, _, err = run_cli(["check", "/nonexistent/x.json"])
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"m": 1,', b"[" * 100000 + b"]" * 100000, b'{"m": \xff}'],
+        ids=["truncated", "deeply-nested", "not-utf8"],
+    )
+    def test_invalid_json_names_file(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(["check", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {str(path)!r} is not valid JSON: ")
+
     def test_wrong_row_count_names_field(self, tmp_path):
         payload = {"m": 2, "conditions": [{"a": [[1, 0], [0, 0]], "b": [[0, 0], [0, 0]]}]}
         path = write_json(tmp_path / "bad.json", payload)
@@ -366,9 +378,10 @@ class TestErrorHandling:
             (["verify", "--m", "0"], "--m"),
             (["verify", "--m", "3", "--samples", "0"], "--samples"),
             (["example", "--name", "odd-irregular", "--n", "0"], "--n"),
+            (["example", "--name", "odd-irregular", "--n", "9"], "--n"),
             (["example", "--name", "nope", "--n", "2"], "--name"),
         ],
-        ids=["verify-m17", "verify-m0", "verify-samples0", "example-n0", "example-name-nope"],
+        ids=["verify-m17", "verify-m0", "verify-samples0", "example-n0", "example-n9", "example-name-nope"],
     )
     def test_out_of_range_flag_names_flag(self, argv, flag):
         code, out, err = run_cli(argv)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -122,21 +123,16 @@ class TestHermiteInterpolant:
             assert p.degree <= 2 * m - 1
             assert boundary_vector_of(p, m) == target
 
-    def test_one_elimination_per_order(self, monkeypatch):
-        calls = []
-        rref = polyoracle._rref
-
-        def counting_rref(rows):
-            calls.append(len(rows))
-            return rref(rows)
-
-        monkeypatch.setattr(polyoracle, "_rref", counting_rref)
-        polyoracle._hermite_matrix.cache_clear()
-        for m in (2, 5, 8):
-            for index in range(4):
-                target = random_boundary_vector(m, seed=12, index=index)
-                assert boundary_vector_of(hermite_interpolant(m, target), m) == target
-        assert calls == [2, 5, 8]
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_rows_interpolate_unit_vectors(self, m):
+        # the interpolant of degree <= 2m-1 is unique, so this proves H
+        hermite, scale = polyoracle._hermite_matrix(m), math.factorial(m - 1)
+        assert len(hermite) == 2 * m
+        for i, row in enumerate(hermite):
+            p = RationalComplexPolynomial([qc(Fraction(c, scale)) for c in row])
+            assert p.degree <= 2 * m - 1
+            unit = tuple(qc(int(j == i)) for j in range(2 * m))
+            assert boundary_vector_of(p, m).components == unit
 
 
 class TestInnerProduct:
@@ -187,16 +183,37 @@ class TestBoundaryVectorOf:
 class TestGram:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_gram_matches_the_polynomial_route(self, m):
-        gram = polyoracle._gram(m)
+        gram, gram_den = polyoracle._gram(m)
         integer_form, den = polyoracle._integer_imaginary_form(m)
         for index in range(20):
             target = random_boundary_vector(m, seed=31, index=index)
             expected = l0_inner_product(hermite_interpolant(m, target), m)
-            assert MINUS_I_POWERS[m % 4] * form_value(gram, target.components) == expected
+            value = form_value(gram, target.components) * Fraction(1, gram_den)
+            assert MINUS_I_POWERS[m % 4] * value == expected
             scaled = polyoracle._scaled_draws(31, f"bv{index}", 2 * m)
             assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
             re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
             assert (Fraction(re, 144 * den), im) == (expected.im, 0)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_form_is_over_its_least_denominator(self, m):
+        # sampling cost grows with the size of these integers
+        rows, den = polyoracle._integer_imaginary_form(m)
+        assert den > 0
+        assert math.gcd(den, *(part for row in rows for pair in row for part in pair)) == 1
+
+    def test_cold_build_needs_no_elimination_and_no_fraction(self, monkeypatch):
+        built = {m: polyoracle._integer_imaginary_form(m) for m in (1, 8, 16)}
+
+        def fail(*args):
+            raise AssertionError("the exact forms are built from closed forms in integers")
+
+        monkeypatch.setattr(polyoracle, "_rref", fail)
+        monkeypatch.setattr(polyoracle, "Fraction", fail)
+        polyoracle._integer_imaginary_form.cache_clear()
+        polyoracle._hermite_matrix.cache_clear()
+        for m, form in built.items():
+            assert polyoracle._integer_imaginary_form(m) == form
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_identities_hold_as_matrices(self, m):
