@@ -55,13 +55,7 @@ from .polyoracle import (
     verify_boundary_form_identity,
     verify_canonical_identity,
 )
-from .regularity import (
-    OmegaOrder,
-    RegularityReport,
-    ordered_roots,
-    regularity_verdict,
-    theta_coefficients,
-)
+from .regularity import RegularityReport, ordered_roots, regularity_verdict
 
 __all__ = [
     "__version__",
@@ -102,9 +96,7 @@ __all__ = [
     "sample_dissipativity",
     "verify_boundary_form_identity",
     "verify_canonical_identity",
-    "OmegaOrder",
     "RegularityReport",
     "ordered_roots",
     "regularity_verdict",
-    "theta_coefficients",
 ]

@@ -94,16 +94,20 @@ class BoundaryConditionSystem:
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """A system in minimal form with per-row orders and leading pairs.
+    """A system in minimal form with per-row orders.
 
     ``orders`` is nonincreasing, bounded by the order-gap rule
-    ``orders[j] > orders[j+2]``, and ``leading[j]`` holds the coefficient
-    pair of ``y^(k_j)`` at the two endpoints.
+    ``orders[j] > orders[j+2]``.
     """
 
     base: BoundaryConditionSystem
     orders: tuple[int, ...]
-    leading: tuple[tuple[complex, complex], ...]
+
+    @property
+    def leading(self) -> tuple[tuple[complex, complex], ...]:
+        """Per row, the coefficient pair of ``y^(k_j)`` at the two endpoints."""
+        m = self.base.m
+        return tuple((complex(r[k]), complex(r[m + k])) for r, k in zip(self.base.coeffs, self.orders))
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,7 @@ def normalize(
     by_order = sorted(range(m), key=lambda i: (-orders[i], i))
     rows = rows[by_order]
     orders = tuple(int(orders[i]) for i in by_order)
-    leading = tuple((complex(row[k]), complex(row[m + k])) for row, k in zip(rows, orders))
-    return NormalizedSystem(base=BoundaryConditionSystem(m, rows), orders=orders, leading=leading)
+    return NormalizedSystem(base=BoundaryConditionSystem(m, rows), orders=orders)
 
 
 def orders_multiset(
@@ -245,6 +248,7 @@ def structural_report(normalized: NormalizedSystem) -> StructuralReport:
         raise OddOrderUnsupported("rank-sum diagnostics require even order")
     n = m // 2
     counts = Counter(normalized.orders)
+    leading = normalized.leading
     rank_sums = tuple(counts[j] + counts[m - 1 - j] for j in range(n))
     defects: list[float] = []
     for j, k in enumerate(normalized.orders):
@@ -253,8 +257,8 @@ def structural_report(normalized: NormalizedSystem) -> StructuralReport:
             continue
         if counts[k] == 1 and counts[partner_order] == 1:
             j_partner = normalized.orders.index(partner_order)
-            alpha, beta = normalized.leading[j]
-            alpha_p, beta_p = normalized.leading[j_partner]
+            alpha, beta = leading[j]
+            alpha_p, beta_p = leading[j_partner]
             defects.append(
                 float(abs(alpha * np.conj(alpha_p) - beta * np.conj(beta_p)))
             )

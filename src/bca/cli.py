@@ -73,11 +73,21 @@ def _flatten_text(obj, prefix: str, lines: list[str]) -> None:
 
 
 def render_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return dumps_deterministic(report) + "\n"
-    lines: list[str] = []
-    _flatten_text(report, "", lines)
-    return "\n".join(lines) + "\n"
+    """The report's text.  Exact values print in full: Python's limit on
+    the digits of an int-to-str conversion (3.10.7 on) is lifted while it
+    renders, then restored."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return dumps_deterministic(report) + "\n"
+        lines: list[str] = []
+        _flatten_text(report, "", lines)
+        return "\n".join(lines) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -89,6 +99,12 @@ def _complex_pair(z: complex) -> list[float]:
 # input parsing
 
 
+# An exact part's numerator and denominator have at most as many digits
+# as Python's default limit allows an int string.
+_MAX_DIGITS = 4300
+_DIGIT_CAP = 10**_MAX_DIGITS
+
+
 def _parse_part(value, where: str) -> Fraction:
     """A real number of the input, exactly: ints, floats and "p/q" strings
     all convert to Fraction without rounding."""
@@ -96,10 +112,16 @@ def _parse_part(value, where: str) -> Fraction:
         raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise FileFormatError(f"{where}: expected a number or 'p/q' string")
+    _, e, exponent = value.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
     try:
-        part = Fraction(value)
+        # Fraction expands 10^e before anything else.  Past |e| = 2 _MAX_DIGITS
+        # any nonzero mantissa within the digit limit leaves a part over the
+        # cap, so such an exponent is refused on the string (even on a zero).
+        part = None if e and abs(int(exponent)) > 2 * _MAX_DIGITS else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(f"{where}: bad rational string {value!r}") from exc
+    if part is None or max(abs(part.numerator), part.denominator) >= _DIGIT_CAP:
+        raise FileFormatError(f"{where}: exact value has more than {_MAX_DIGITS} digits")
     try:
         float(part)  # the float layers need its nearest double
     except OverflowError:
@@ -121,7 +143,7 @@ def _rounded(rows) -> list[list[complex]]:
 def _load_json(raw: bytes, path: str) -> dict:
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int literal beyond the digit limit
         raise FileFormatError(f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path!r}: top-level value must be an object")

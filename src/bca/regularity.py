@@ -18,7 +18,6 @@ apply either.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,22 +29,14 @@ from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
 @dataclass(frozen=True)
-class OmegaOrder:
-    """The m-th roots of -1 in the canonical strictly increasing order."""
-
-    m: int
-    omegas: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class RegularityReport:
     """Laurent data of the boundary determinant plus the verdicts.
 
-    ``theta_minus1`` is None for odd order.  ``regular`` follows the
-    parity-specific rule (odd: both theta_0 and theta_1 nonzero; even: at
-    least one of theta_minus1, theta_1 nonzero); ``regular_strict``
-    requires both for even order and coincides with ``regular`` for odd.
-    Verdict fields are None until a tolerance has been applied.
+    ``theta_minus1`` and ``theta_minus1_nonzero`` are None for odd order.
+    ``regular`` follows the parity-specific rule (odd: both theta_0 and
+    theta_1 nonzero; even: at least one of theta_minus1, theta_1 nonzero);
+    ``regular_strict`` requires both for even order and coincides with
+    ``regular`` for odd.
     """
 
     parity: str
@@ -53,14 +44,14 @@ class RegularityReport:
     theta_0: complex
     theta_1: complex
     scale: float
-    theta_minus1_nonzero: bool | None = None
-    theta_0_nonzero: bool | None = None
-    theta_1_nonzero: bool | None = None
-    regular: bool | None = None
-    regular_strict: bool | None = None
+    theta_minus1_nonzero: bool | None
+    theta_0_nonzero: bool
+    theta_1_nonzero: bool
+    regular: bool
+    regular_strict: bool
 
 
-def ordered_roots(m: int) -> OmegaOrder:
+def ordered_roots(m: int) -> tuple[complex, ...]:
     """Roots ``omega_j = exp(i pi (2j-1)/m)`` sorted by ``Re(omega e^{i pi / 2m})``.
 
     That key is ``cos(pi (4j-1)/2m) = -cos(pi |4j-1-2m| / 2m)``, which
@@ -71,7 +62,7 @@ def ordered_roots(m: int) -> OmegaOrder:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     order = sorted(range(1, m + 1), key=lambda j: abs(4 * j - 1 - 2 * m))
-    return OmegaOrder(m=m, omegas=tuple(cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in order))
+    return tuple(cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in order)
 
 
 def _check_normalized(norm: NormalizedSystem) -> None:
@@ -83,6 +74,8 @@ def _check_normalized(norm: NormalizedSystem) -> None:
         raise NotNormalized("orders are not sorted descending")
     if any(orders[j] <= orders[j + 2] for j in range(m - 2)):
         raise NotNormalized("more than two rows share an order")
+    if any(not 0 <= k < m for k in orders):
+        raise NotNormalized("an order lies outside 0..m-1")
     for alpha, beta in norm.leading:
         if alpha == 0 and beta == 0:
             raise NotNormalized("a leading coefficient pair vanishes")
@@ -91,7 +84,7 @@ def _check_normalized(norm: NormalizedSystem) -> None:
 def _column_matrices(norm: NormalizedSystem) -> tuple[np.ndarray, np.ndarray]:
     """``A_alpha[j, c] = alpha_j omega_c^k_j`` and ``A_beta[j, c] = beta_j omega_c^k_j``."""
     _check_normalized(norm)
-    omegas = np.array(ordered_roots(norm.base.m).omegas)
+    omegas = np.array(ordered_roots(norm.base.m))
     powers = omegas ** np.array(norm.orders)[:, None]
     alpha, beta = np.array(norm.leading, dtype=np.complex128).T
     return alpha[:, None] * powers, beta[:, None] * powers
@@ -117,8 +110,11 @@ def boundary_determinant(norm: NormalizedSystem, s: complex) -> complex:
     return _determinant(a, b, *middle)
 
 
-def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
-    """Laurent coefficients of the boundary determinant (verdict unset).
+def regularity_verdict(
+    norm: NormalizedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
+) -> RegularityReport:
+    """Laurent coefficients of the boundary determinant, their nonzero
+    flags and the regular/irregular verdicts.
 
     The determinant is linear in each column, so expanding the columns
     that depend on s gives every theta as one determinant.  Odd order:
@@ -128,8 +124,8 @@ def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
     det(beta, beta) and theta_1 = det(beta, alpha).  Every theta is the
     determinant of a matrix whose row j has m entries of modulus at most
     ``max(|alpha_j|, |beta_j|)``, so ``scale = prod_j sqrt(m) *
-    max(|alpha_j|, |beta_j|)`` bounds every |theta| (Hadamard) and
-    serves the relative zero tests.
+    max(|alpha_j|, |beta_j|)`` bounds every |theta| (Hadamard); a theta
+    counts as nonzero when its magnitude exceeds ``tol.zero_tol * scale``.
     """
     m = norm.base.m
     a, b = _column_matrices(norm)
@@ -139,37 +135,14 @@ def theta_coefficients(norm: NormalizedSystem) -> RegularityReport:
         theta_minus1 = _determinant(a, b, a, b)
         theta_0 = _determinant(a, b, a, a) + _determinant(a, b, b, b)
         theta_1 = _determinant(a, b, b, a)
-    parity = "odd" if m % 2 == 1 else "even"
     scale = math.prod(math.sqrt(m) * max(abs(x), abs(y)) for x, y in norm.leading)
-    return RegularityReport(
-        parity=parity, theta_minus1=theta_minus1, theta_0=theta_0, theta_1=theta_1, scale=scale
-    )
-
-
-def regularity_verdict(
-    norm: NormalizedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
-) -> RegularityReport:
-    """Attach nonzero flags and the regular/irregular verdicts.
-
-    A coefficient counts as nonzero when its magnitude exceeds
-    ``tol.zero_tol * scale``.
-    """
-    report = theta_coefficients(norm)
-    threshold = tol.zero_tol * report.scale
-    theta_0_nonzero = abs(report.theta_0) > threshold
-    theta_1_nonzero = abs(report.theta_1) > threshold
-    if report.parity == "odd":
-        theta_minus1_nonzero = None
+    threshold = tol.zero_tol * scale
+    flags = [None if t is None else abs(t) > threshold for t in (theta_minus1, theta_0, theta_1)]
+    theta_minus1_nonzero, theta_0_nonzero, theta_1_nonzero = flags
+    if m % 2 == 1:
         regular = strict = theta_0_nonzero and theta_1_nonzero
     else:
-        theta_minus1_nonzero = abs(report.theta_minus1) > threshold
         regular = theta_minus1_nonzero or theta_1_nonzero
         strict = theta_minus1_nonzero and theta_1_nonzero
-    return dataclasses.replace(
-        report,
-        theta_minus1_nonzero=theta_minus1_nonzero,
-        theta_0_nonzero=theta_0_nonzero,
-        theta_1_nonzero=theta_1_nonzero,
-        regular=regular,
-        regular_strict=strict,
-    )
+    parity = "odd" if m % 2 == 1 else "even"
+    return RegularityReport(parity, theta_minus1, theta_0, theta_1, scale, *flags, regular, strict)

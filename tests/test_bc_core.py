@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -114,6 +115,15 @@ class TestNormalize:
         result = normalize(helpers.dirichlet_m2())
         assert result.orders == (0, 0)
         assert np.array_equal(result.base.coeffs, helpers.dirichlet_m2().coeffs)
+
+    def test_leading_pairs_are_read_from_the_rows(self):
+        rng = np.random.default_rng(14)
+        for m in range(1, 7):
+            result = normalize(helpers.random_system(rng, m))
+            assert [f.name for f in dataclasses.fields(result)] == ["base", "orders"]
+            rows = result.base.coeffs
+            expected = [(rows[j, k], rows[j, m + k]) for j, k in enumerate(result.orders)]
+            assert result.leading == tuple(expected)
 
     def test_odd_example_unchanged(self):
         system = helpers.odd_irregular(2)

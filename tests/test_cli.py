@@ -2,13 +2,15 @@ import builtins
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core, cli
+from bca import bc_core, cli, polyoracle
 from bca.cli import main
 
 
@@ -50,6 +52,27 @@ class TestCheck:
         assert report["orders"] == [0, 0]
         assert report["oracle"]["dissipativity"]["all_nonnegative"] is True
         assert report["tolerances"]["definiteness_tol"] == 1e-9
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("command", ["check", "dissipative"])
+    def test_exact_values_beyond_the_digit_limit_print_in_full(self, tmp_path, command):
+        # every part is within the cap, but min_value has over 9,000 digits
+        tiny = {"m": 2, "conditions": [
+            {"a": [["1", "1e-3000"], ["1e-3000", "0"]], "b": [["3e-3000", 0], [0, "1"]]},
+            {"a": [["1e-3000", "2"], [0, 0]], "b": [[1, "7e-3000"], ["1e-3000", 0]]},
+        ]}
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli([command, write_json(tmp_path / "tiny.json", tiny)])
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        printed = json.loads(out)["oracle"]["dissipativity"]["min_value"]
+        expected = polyoracle.sample_dissipativity(cli.parse_condition_data(tiny), 25, 0).min_value
+        assert len(printed.partition("/")[0]) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_row_near_double_range_is_factored(self, tmp_path):
         # the row's 2-norm overflows a double; the SVD sees it scaled
@@ -315,8 +338,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "raw",
-        [b'{"m": 1,', b"[" * 100000 + b"]" * 100000, b'{"m": \xff}'],
-        ids=["truncated", "deeply-nested", "not-utf8"],
+        [b'{"m": 1,', b"[" * 100000 + b"]" * 100000, b'{"m": \xff}', b'{"m": ' + b"1" * 5000 + b"}"],
+        ids=["truncated", "deeply-nested", "not-utf8", "integer-beyond-digit-limit"],
     )
     def test_invalid_json_names_file(self, tmp_path, raw):
         path = tmp_path / "bad.json"
@@ -366,6 +389,34 @@ class TestErrorHandling:
         code, out, err = run_cli([command, str(path)])
         assert code == 2 and out == ""
         assert err == f"error: {field}: value out of double range\n"
+
+    @pytest.mark.parametrize(
+        "command, value, where",
+        [
+            ("check", "1e-5000", "conditions[0].a[0][1]"),
+            ("check", "1e-4300", "conditions[0].a[0][1]"),
+            ("check", "1e10000000", "conditions[0].a[0][1]"),
+            ("from-contraction", "-1e-10000000", "V[0][0][1]"),
+        ],
+        ids=["tiny-decimal", "denominator-4301-digits", "huge-exponent", "contraction-tiny-exponent"],
+    )
+    def test_exact_part_beyond_digit_cap_names_field(self, tmp_path, monkeypatch, command, value, where):
+        if command == "check":
+            payload = {"m": 1, "conditions": [{"a": [["1", value]], "b": [[1, 0]]}]}
+        else:
+            payload = {"m": 1, "V": [[["0", value]]]}
+        built = []
+        monkeypatch.setattr(cli, "Fraction", lambda part: built.append(part) or Fraction(part))
+        code, out, err = run_cli([command, write_json(tmp_path / "long.json", payload)])
+        assert code == 2 and out == ""
+        assert err == f"error: {where}: exact value has more than 4300 digits\n"
+        # an exponent past twice the cap is refused on the string, before
+        # Fraction expands 10^e
+        assert (value in built) == (abs(int(value.partition("e")[2])) <= 8600)
+
+    def test_exact_part_at_digit_cap_is_kept(self):
+        system = cli.parse_condition_data({"m": 1, "conditions": [{"a": [["1", "1e-4299"]], "b": [[1, 0]]}]})
+        assert system.exact[0][0] == (1, Fraction(1, 10**4299))
 
     def test_verify_order_out_of_range(self):
         code, _, err = run_cli(["verify", "--m", "17"])

@@ -10,7 +10,6 @@ from bca import (
     normalize,
     ordered_roots,
     regularity_verdict,
-    theta_coefficients,
 )
 from bca.errors import NotNormalized
 from bca.regularity import boundary_determinant
@@ -20,33 +19,33 @@ SQRT3 = 3**0.5
 
 class TestOrderedRoots:
     def test_m1(self):
-        roots = ordered_roots(1).omegas
+        roots = ordered_roots(1)
         assert roots == pytest.approx((-1 + 0j,))
 
     def test_m2(self):
-        roots = ordered_roots(2).omegas
+        roots = ordered_roots(2)
         assert roots[0] == pytest.approx(1j)
         assert roots[1] == pytest.approx(-1j)
 
     def test_m3(self):
-        roots = ordered_roots(3).omegas
+        roots = ordered_roots(3)
         assert roots[0] == pytest.approx(-1 + 0j)
         assert roots[1] == pytest.approx(cmath.exp(1j * cmath.pi / 3))
         assert roots[2] == pytest.approx(cmath.exp(-1j * cmath.pi / 3))
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_roots_of_minus_one_with_product_identity(self, m):
-        order = ordered_roots(m)
-        for omega in order.omegas:
+        roots = ordered_roots(m)
+        for omega in roots:
             assert abs(omega**m + 1) <= 1e-12
-        product = np.prod(order.omegas)
+        product = np.prod(roots)
         assert abs(product - (-1) ** m) <= 1e-10
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_sort_keys_strictly_increase(self, m):
-        order = ordered_roots(m)
+        roots = ordered_roots(m)
         twist = cmath.exp(1j * cmath.pi / (2 * m))
-        keys = [(w * twist).real for w in order.omegas]
+        keys = [(w * twist).real for w in roots]
         assert all(b - a > 1e-9 for a, b in zip(keys, keys[1:]))
 
     def test_matches_a_float_sort_of_the_twisted_roots(self):
@@ -54,32 +53,32 @@ class TestOrderedRoots:
             roots = [cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in range(1, m + 1)]
             twist = cmath.exp(1j * cmath.pi / (2 * m))
             expected = tuple(sorted(roots, key=lambda w: (w * twist).real))
-            assert ordered_roots(m).omegas == expected, m
+            assert ordered_roots(m) == expected, m
 
     def test_large_order_does_not_raise(self):
         # neighbouring float keys here differ by less than 1e-9
         m = 100_000
-        omegas = ordered_roots(m).omegas
+        omegas = ordered_roots(m)
         assert len(omegas) == m
         assert omegas[0] == cmath.exp(1j * cmath.pi * (m - 1) / m)  # j = m/2 has key 1
 
 
 class TestThetaCoefficients:
     def test_dirichlet(self):
-        report = theta_coefficients(normalize(helpers.dirichlet_m2()))
+        report = regularity_verdict(normalize(helpers.dirichlet_m2()))
         assert report.parity == "even"
         assert report.theta_minus1 == pytest.approx(1.0, abs=1e-12)
         assert abs(report.theta_0) <= 1e-12
         assert report.theta_1 == pytest.approx(-1.0, abs=1e-12)
 
     def test_neumann(self):
-        report = theta_coefficients(normalize(helpers.neumann_m2()))
+        report = regularity_verdict(normalize(helpers.neumann_m2()))
         assert report.theta_minus1 == pytest.approx(1.0, abs=1e-12)
         assert abs(report.theta_0) <= 1e-12
         assert report.theta_1 == pytest.approx(-1.0, abs=1e-12)
 
     def test_odd_example(self):
-        report = theta_coefficients(normalize(helpers.odd_irregular(2)))
+        report = regularity_verdict(normalize(helpers.odd_irregular(2)))
         assert report.parity == "odd"
         assert report.theta_minus1 is None
         assert abs(report.theta_0) <= 1e-12 * report.scale
@@ -93,7 +92,7 @@ class TestThetaCoefficients:
                 systems.append(helpers.odd_irregular((m + 1) // 2))
             for system in systems:
                 norm = normalize(system)
-                report = theta_coefficients(norm)
+                report = regularity_verdict(norm)
                 for s in (3.0, -0.5 + 2j):
                     predicted = report.theta_0 + s * report.theta_1
                     if report.theta_minus1 is not None:
@@ -110,7 +109,7 @@ class TestThetaCoefficients:
         ],
     )
     def test_structural_zero_theta_0_is_exact(self, system):
-        assert theta_coefficients(normalize(system)).theta_0 == 0
+        assert regularity_verdict(normalize(system)).theta_0 == 0
 
 
 class TestRegularityVerdict:
@@ -136,12 +135,9 @@ class TestRegularityVerdict:
             c = complex(rng.normal(), rng.normal())
             if abs(c) < 1e-3:
                 continue
-            scaled = NormalizedSystem(
-                base=norm.base,
-                orders=norm.orders,
-                leading=((norm.leading[0][0] * c, norm.leading[0][1] * c),)
-                + norm.leading[1:],
-            )
+            coeffs = norm.base.coeffs.copy()
+            coeffs[0] *= c
+            scaled = NormalizedSystem(base=BoundaryConditionSystem(2, coeffs), orders=norm.orders)
             report = regularity_verdict(scaled)
             assert report.regular == reference.regular
             assert report.regular_strict == reference.regular_strict
@@ -163,19 +159,24 @@ class TestRegularityVerdict:
 
     def test_not_normalized_rejected(self):
         norm = normalize(helpers.dirichlet_m2())
-        broken = NormalizedSystem(
-            base=norm.base, orders=(0, 1), leading=norm.leading
-        )
+        broken = NormalizedSystem(base=norm.base, orders=(0, 1))
         with pytest.raises(NotNormalized):
-            theta_coefficients(broken)
+            regularity_verdict(broken)
 
     def test_zero_leading_pair_rejected(self):
         norm = normalize(helpers.dirichlet_m2())
-        broken = NormalizedSystem(
-            base=norm.base, orders=norm.orders, leading=((0j, 0j), norm.leading[1])
-        )
+        coeffs = norm.base.coeffs.copy()
+        k = norm.orders[0]
+        coeffs[0, [k, 2 + k]] = 0
+        broken = NormalizedSystem(base=BoundaryConditionSystem(2, coeffs), orders=norm.orders)
         with pytest.raises(NotNormalized):
-            theta_coefficients(broken)
+            regularity_verdict(broken)
+
+    def test_order_out_of_range_rejected(self):
+        norm = normalize(helpers.dirichlet_m2())
+        broken = NormalizedSystem(base=norm.base, orders=(2, 0))
+        with pytest.raises(NotNormalized):
+            regularity_verdict(broken)
 
 
 # The boundary determinant of each of these systems vanishes identically,
@@ -220,6 +221,6 @@ class TestIdenticallyZeroDeterminant:
     def test_scale_bounds_every_theta(self):
         rng = np.random.default_rng(62)
         for m in range(1, 7):
-            report = theta_coefficients(normalize(helpers.random_system(rng, m)))
+            report = regularity_verdict(normalize(helpers.random_system(rng, m)))
             thetas = [report.theta_minus1, report.theta_0, report.theta_1]
             assert all(abs(t) <= report.scale * (1 + 1e-12) for t in thetas if t is not None)
