@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -112,14 +113,23 @@ def _parse_part(value, where: str) -> Fraction:
         raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-    _, e, exponent = value.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
+    head, e, exponent = value.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
     try:
         # Fraction expands 10^e before anything else.  Past |e| = 2 _MAX_DIGITS
         # any nonzero mantissa within the digit limit leaves a part over the
         # cap, so such an exponent is refused on the string (even on a zero).
         part = None if e and abs(int(exponent)) > 2 * _MAX_DIGITS else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FileFormatError(f"{where}: bad rational string {value!r}") from exc
+        # Python (3.10.7 on) refuses to read a run of over _MAX_DIGITS digits
+        too_long = re.search(rf"\d{{{_MAX_DIGITS + 1}}}", head if e else value)
+        try:  # a well-formed string with such a run in its mantissa is over the cap
+            Fraction(re.sub(r"\d+", "1", value))
+        except ValueError:
+            too_long = None
+        if not too_long:
+            shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
+            raise FileFormatError(f"{where}: bad rational string {shown}") from exc
+        part = None
     if part is None or max(abs(part.numerator), part.denominator) >= _DIGIT_CAP:
         raise FileFormatError(f"{where}: exact value has more than {_MAX_DIGITS} digits")
     try:

@@ -7,19 +7,18 @@ then precisely the kernels of ``(V - I) yv + i (V + I) y^`` for matrices
 V with operator norm at most 1; unitary V corresponds to self-adjoint
 conditions.
 
-For odd order the summed first components carry a 1/sqrt(2) weight and
-the high-order vector is globally negated relative to the naive
-quasi-derivative stacking; this is the unique scaling under which the
-identity above holds (certified exactly by the rational oracle).  The
-integer parts of the maps and the squared row weights ``w^2`` in {1/2, 1}
-are exposed separately; both are exact in binary, so exact-arithmetic
-consumers never meet the irrational sqrt(1/2).
+One closed form builds the maps for every m: at each endpoint derivative
+k pairs with derivative m-1-k, with a sign alternating in k and between
+the endpoints, times i for odd m.  Odd m adds the middle derivatives of
+both endpoints as one row of weight 1/sqrt(2), the unique scaling under
+which the identity holds (certified exactly by the rational oracle).  The
+integer parts of the maps and the squared weights 1/2 and 1 are exposed
+separately, so exact-arithmetic consumers never meet sqrt(1/2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,49 +56,40 @@ class ContractionParametrization:
         object.__setattr__(self, "V", mat)
 
 
-def integer_canonical_components(
-    m: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[Fraction, ...]]:
+def integer_canonical_components(m: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
     """Gaussian-integer map rows plus squared row weights.
+
+    With ``h = m // 2``, ``n = (m + 1) // 2`` and ``c = 1`` for even m,
+    ``c = i`` for odd m: derivative k < h at endpoint e in {0, 1} goes to
+    row ``r = m % 2 + e h + k`` with ``P_int[r, e m + k] = 1`` and
+    ``Q_int[r, e m + m-1-k] = c (-1)^(n-1-k+e)``.  Odd m adds row 0 with
+    ``P_int[0, h] = P_int[0, m+h] = 1``, ``Q_int[0, h] = i``,
+    ``Q_int[0, m+h] = -i`` and squared weight 1/2; every other weight is 1.
 
     The actual maps are ``P = diag(w) P_int`` and ``Q = diag(w) Q_int``
     with ``w = sqrt(weight_sq)``; every entry of the returned matrices is
-    one of 0, +-1, +-i and therefore exact in floating point.
+    one of 0, +-1, +-i, and every weight is a binary float.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
+    h, n, odd = m // 2, (m + 1) // 2, m % 2
     p_int = np.zeros((m, 2 * m), dtype=np.complex128)
     q_int = np.zeros((m, 2 * m), dtype=np.complex128)
-    if m % 2 == 0:
-        n = m // 2
-        weight_sq = tuple(Fraction(1) for _ in range(m))
-        for i in range(n):
-            p_int[i, i] = 1.0
-            p_int[n + i, m + i] = 1.0
-            sign = (-1) ** (n - 1 - i)
-            q_int[i, 2 * n - 1 - i] = sign
-            q_int[n + i, m + 2 * n - 1 - i] = -sign
-    else:
-        n = (m + 1) // 2
-        weight_sq = (Fraction(1, 2),) + tuple(Fraction(1) for _ in range(m - 1))
-        p_int[0, n - 1] = 1.0
-        p_int[0, m + n - 1] = 1.0
-        q_int[0, n - 1] = 1j
-        q_int[0, m + n - 1] = -1j
-        for r in range(1, n):
-            k = r - 1
-            p_int[r, k] = 1.0
-            p_int[n - 1 + r, m + k] = 1.0
-            sign = (-1) ** (n - 1 - k)
-            q_int[r, 2 * n - 2 - k] = 1j * sign
-            q_int[n - 1 + r, m + 2 * n - 2 - k] = -1j * sign
-    return p_int, q_int, weight_sq
+    for e in (0, 1):
+        for k in range(h):
+            r, sign = odd + e * h + k, (-1) ** (n - 1 - k)
+            p_int[r, e * m + k] = 1.0
+            q_int[r, e * m + m - 1 - k] = ((1j, -1j) if odd else (1, -1))[e] * sign
+    if odd:
+        p_int[0, h] = p_int[0, m + h] = 1.0
+        q_int[0, h], q_int[0, m + h] = 1j, -1j
+    return p_int, q_int, (0.5,) * odd + (1.0,) * (m - odd)
 
 
 def canonical_maps(m: int) -> CanonicalMaps:
     """Floating-point canonical maps with the odd-case sqrt(1/2) weights applied."""
     p_int, q_int, weight_sq = integer_canonical_components(m)
-    weights = np.sqrt(np.array([float(w) for w in weight_sq]))
+    weights = np.sqrt(weight_sq)
     return CanonicalMaps(m=m, P=weights[:, None] * p_int, Q=weights[:, None] * q_int)
 
 
@@ -109,10 +99,9 @@ def to_contraction(
     """Contraction V with ``V(yv + i y^) = yv - i y^`` on the solution space.
 
     Requires a dissipative system.  With N the null-space basis, V is
-    ``Z_minus pinv(Z_plus)`` for ``Z_pm = (Q +- iP) N``; off the range of
-    ``Z_plus`` the map is extended by zero.  ``Z_plus`` losing rank
-    despite a dissipative verdict signals a tolerance conflict and raises
-    ``RankDeficiency`` rather than being patched over.
+    ``Z_minus pinv(Z_plus)`` for ``Z_pm = (Q +- iP) N``.  ``Z_plus``
+    losing rank despite a dissipative verdict signals a tolerance conflict
+    and raises ``RankDeficiency`` rather than being patched over.
     """
     verdict = forms.dissipativity_verdict(system, tol)
     if not verdict.dissipative:

@@ -544,7 +544,7 @@ def _canonical_target(m: int) -> np.ndarray:
     :func:`contraction.integer_canonical_components`.  Every entry is a sum
     of 0, +-1 or +-i times 1/2 or 1, so numpy forms it exactly."""
     p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
-    s = q_int.T @ (np.array([float(w) for w in weight_sq])[:, None] * p_int.conj())
+    s = q_int.T @ (np.array(weight_sq)[:, None] * p_int.conj())
     return (s - s.conj().T) / 2j
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core, cli, polyoracle
+from bca import bc_core, cli, numerics, polyoracle
 from bca.cli import main
 
 
@@ -358,7 +358,78 @@ class TestErrorHandling:
         payload = {"m": 1, "conditions": [{"a": [["1/0", 0]], "b": [[1, 0]]}]}
         path = write_json(tmp_path / "bad.json", payload)
         code, _, err = run_cli(["check", path])
-        assert code == 2 and "conditions[0].a[0]" in err
+        assert code == 2 and err == "error: conditions[0].a[0][0]: bad rational string '1/0'\n"
+
+    def test_long_bad_string_is_not_echoed_whole(self, tmp_path):
+        payload = {"m": 1, "conditions": [{"a": [["x" * 100000, 0]], "b": [[1, 0]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "bad.json", payload)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: conditions[0].a[0][0]: bad rational string 'xxx")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "check",
+                {"m": 1, "conditions": [{"a": [[None, 0]], "b": [[1, 0]]}]},
+                "conditions[0].a[0][0]: expected a number or 'p/q' string",
+            ),
+            (
+                "check",
+                {"m": 1, "conditions": [{"a": [[1, 0]], "b": [[1, True]]}]},
+                "conditions[0].b[0][1]: expected a number or 'p/q' string",
+            ),
+            (
+                "check",
+                {"m": 1, "conditions": [{"a": [[1]], "b": [[1, 0]]}]},
+                "conditions[0].a[0]: complex values are [re, im] pairs",
+            ),
+            (
+                "check",
+                {"m": 2, "conditions": [{"a": [[1, 0]], "b": [[0, 0], [0, 0]]}, {}]},
+                "conditions[0].a: expected a list of 2 values",
+            ),
+            (
+                "check",
+                {"m": 2, "conditions": [[1, 0], {"a": [[1, 0], [0, 0]], "b": [[0, 0], [0, 0]]}]},
+                "conditions[0]: expected an object with 'a' and 'b'",
+            ),
+            ("from-contraction", {"m": 2, "V": [[[0, 0], [0, 0]]]}, "V: expected a list of 2 rows"),
+        ],
+        ids=["null-part", "boolean-part", "short-pair", "short-row", "row-not-object", "short-contraction"],
+    )
+    def test_malformed_field_names_field(self, tmp_path, command, payload, message):
+        code, out, err = run_cli([command, write_json(tmp_path / "bad.json", payload)])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_top_level_not_an_object(self, tmp_path):
+        path = write_json(tmp_path / "list.json", [DIRICHLET])
+        code, out, err = run_cli(["check", path])
+        assert code == 2 and out == ""
+        assert err == f"error: {path!r}: top-level value must be an object\n"
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            (
+                "numerical_rank",
+                lambda matrix, tol=None: matrix.shape[0] - 1,
+                "forward coordinate map lost rank on a dissipative system",
+            ),
+            ("operator_norm", lambda matrix: 2.0, "operator norm 2.0 exceeds 1"),
+        ],
+        ids=["forward-map-loses-rank", "norm-above-one"],
+    )
+    def test_contraction_tolerance_conflict_exits_3(self, tmp_path, monkeypatch, name, fake, message):
+        # both guards of to_contraction: a dissipative system whose forward
+        # map loses rank, or whose V fails the norm bound
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        monkeypatch.setattr(numerics, name, fake)
+        code, out, err = run_cli(["to-contraction", path])
+        assert code == 3 and out == ""
+        assert err == f"numerical failure: {message}\n"
 
     def test_non_finite_number_names_field(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -397,8 +468,13 @@ class TestErrorHandling:
             ("check", "1e-4300", "conditions[0].a[0][1]"),
             ("check", "1e10000000", "conditions[0].a[0][1]"),
             ("from-contraction", "-1e-10000000", "V[0][0][1]"),
+            ("check", "2" * 4301, "conditions[0].a[0][1]"),
+            ("check", "2" * 100000, "conditions[0].a[0][1]"),
         ],
-        ids=["tiny-decimal", "denominator-4301-digits", "huge-exponent", "contraction-tiny-exponent"],
+        ids=[
+            "tiny-decimal", "denominator-4301-digits", "huge-exponent", "contraction-tiny-exponent",
+            "integer-4301-digits", "integer-100000-digits",
+        ],
     )
     def test_exact_part_beyond_digit_cap_names_field(self, tmp_path, monkeypatch, command, value, where):
         if command == "check":
@@ -411,8 +487,9 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err == f"error: {where}: exact value has more than 4300 digits\n"
         # an exponent past twice the cap is refused on the string, before
-        # Fraction expands 10^e
-        assert (value in built) == (abs(int(value.partition("e")[2])) <= 8600)
+        # Fraction expands 10^e; a value with no exponent reaches Fraction
+        _, e, exponent = value.partition("e")
+        assert (value in built) == (not e or abs(int(exponent)) <= 8600)
 
     def test_exact_part_at_digit_cap_is_kept(self):
         system = cli.parse_condition_data({"m": 1, "conditions": [{"a": [["1", "1e-4299"]], "b": [[1, 0]]}]})

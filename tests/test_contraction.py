@@ -44,19 +44,24 @@ class TestCanonicalMaps:
         assert np.allclose(maps.P, expected_p)
         assert np.allclose(maps.Q, expected_q)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_stacked_map_is_well_conditioned(self, m):
-        maps = canonical_maps(m)
-        stacked = np.vstack([maps.P, maps.Q])
-        assert np.linalg.cond(stacked) < 1e3
+        # P P* = Q Q* = I and P Q* = 0, checked on the integer parts, whose
+        # entries 0, +-1 and +-i make these products exact in floats
+        p_int, q_int, weight_sq = integer_canonical_components(m)
+        inverse_weights = np.diag([1 / w for w in weight_sq])
+        assert np.array_equal(p_int @ p_int.conj().T, inverse_weights)
+        assert np.array_equal(q_int @ q_int.conj().T, inverse_weights)
+        assert np.array_equal(p_int @ q_int.conj().T, np.zeros((m, m)))
 
-    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_integer_components_are_gaussian_integers(self, m):
         p_int, q_int, weight_sq = integer_canonical_components(m)
         for mat in (p_int, q_int):
             assert np.array_equal(mat.real, np.round(mat.real))
             assert np.array_equal(mat.imag, np.round(mat.imag))
-        assert all(w in (1, 0.5) for w in map(float, weight_sq))
+        # 1/2 on the odd middle row (row 0), 1 on every other row
+        assert weight_sq == (0.5,) * (m % 2) + (1.0,) * (m - m % 2)
 
 
 class TestContractionParametrization:
