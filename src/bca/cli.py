@@ -104,26 +104,50 @@ def _complex_pair(z: complex) -> list[float]:
 # as Python's default limit allows an int string.
 _MAX_DIGITS = 4300
 _DIGIT_CAP = 10**_MAX_DIGITS
+# Fraction's plain string forms: sign, integer part, then a denominator
+# or a fractional part and an exponent
+_PLAIN_NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)(\d+))?)\s*")
+
+
+def _drop_valueless_zeros(value: str) -> str:
+    """The number string without the zeros that carry no value: leading
+    zeros of the integer part, the denominator and the exponent, and
+    trailing zeros of the fractional part.  Other strings are returned
+    as they are."""
+    match = _PLAIN_NUMBER.fullmatch(value)
+    if not match:
+        return value
+    sign, whole, den, frac, exp_sign, exp = match.groups()
+    text = sign + (whole.lstrip("0") or whole[:1])
+    if den is not None:
+        text += "/" + (den.lstrip("0") or "0")
+    if frac is not None:
+        text += "." + (frac.rstrip("0") or frac[:1])
+    if exp is not None:
+        text += "e" + exp_sign + (exp.lstrip("0") or "0")
+    return text
 
 
 def _parse_part(value, where: str) -> Fraction:
     """A real number of the input, exactly: ints, floats and "p/q" strings
-    all convert to Fraction without rounding."""
+    all convert to Fraction without rounding.  A string is judged by its
+    value, so zeros that carry no value count toward no limit."""
     if isinstance(value, float) and not math.isfinite(value):
         raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-    head, e, exponent = value.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
+    text = _drop_valueless_zeros(value) if isinstance(value, str) else value
+    _, e, exponent = text.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
     try:
         # Fraction expands 10^e before anything else.  Past |e| = 2 _MAX_DIGITS
         # any nonzero mantissa within the digit limit leaves a part over the
         # cap, so such an exponent is refused on the string (even on a zero).
-        part = None if e and abs(int(exponent)) > 2 * _MAX_DIGITS else Fraction(value)
+        part = None if e and abs(int(exponent)) > 2 * _MAX_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         # Python (3.10.7 on) refuses to read a run of over _MAX_DIGITS digits
-        too_long = re.search(rf"\d{{{_MAX_DIGITS + 1}}}", head if e else value)
-        try:  # a well-formed string with such a run in its mantissa is over the cap
-            Fraction(re.sub(r"\d+", "1", value))
+        too_long = re.search(rf"\d{{{_MAX_DIGITS + 1}}}", text)
+        try:  # a well-formed string with such a run is over the cap
+            Fraction(re.sub(r"\d+", "1", text))
         except ValueError:
             too_long = None
         if not too_long:

@@ -33,7 +33,8 @@ the reference route.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
-reproducible across platforms.
+reproducible across platforms.  The scaled vectors of the sampled forms
+are memoized per process; the reference route draws afresh.
 """
 
 from __future__ import annotations
@@ -367,14 +368,19 @@ def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
 STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 
 
-def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
+@functools.lru_cache(maxsize=1024)
+def _scaled_draws(seed: int, tag: str, size: int) -> tuple[Gaussian, ...]:
     """``STREAM_SCALE * random_rational_complex(seed, tag, j)`` for j < size,
-    as Gaussian integers."""
+    as Gaussian integers.  Memoized, so each vector is hashed once per
+    process: both identity suites draw the same ``bv`` vectors, and the
+    spot-check draws the same ``ns`` weights for every system of one order.
+    Default use (25 samples, orders 1..16, both tags) is 800 keys, about
+    1.1 MB."""
     parts = []
     for index in range(2 * size):
         numerator, denominator = _stream_draw(seed, tag, index)
         parts.append(numerator * (STREAM_SCALE // denominator))
-    return list(zip(parts[::2], parts[1::2]))
+    return tuple(zip(parts[::2], parts[1::2]))
 
 
 def _exact_quotient(a: Gaussian, b: Gaussian) -> Gaussian:
@@ -399,9 +405,14 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
     22, 1968), so every entry stays a Gaussian integer.  Returns the rows,
     the pivot columns and the last pivot d: the rows are the RREF of
     :func:`_rref` (same pivoting) times d.
+
+    After each step the pivot columns are p I on the pivot rows and 0
+    elsewhere, so a step updates only the columns that are not pivots,
+    and the pivot block is set to d I once at the end.
     """
     rows = [list(row) for row in rows]
     pivots: list[int] = []
+    live = list(range(len(rows[0])))  # the columns that are not pivots
     prev = (1, 0)
     for col in range(len(rows[0])):
         r = len(pivots)
@@ -411,18 +422,21 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r]
         pr, pi = top[col]
+        pivots.append(col)
+        live.remove(col)
         for i, row in enumerate(rows):
             if i == r:
                 continue
             fr, fi = row[col]
-            rows[i] = [
-                _exact_quotient(
+            for c in live:
+                (xr, xi), (yr, yi) = row[c], top[c]
+                row[c] = _exact_quotient(
                     (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr), prev
                 )
-                for (xr, xi), (yr, yi) in zip(row, top)
-            ]
         prev = top[col]
-        pivots.append(col)
+    for i, row in enumerate(rows):
+        for j, col in enumerate(pivots):
+            row[col] = prev if i == j else (0, 0)
     return rows, pivots, prev
 
 

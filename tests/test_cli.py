@@ -495,6 +495,36 @@ class TestErrorHandling:
         system = cli.parse_condition_data({"m": 1, "conditions": [{"a": [["1", "1e-4299"]], "b": [[1, 0]]}]})
         assert system.exact[0][0] == (1, Fraction(1, 10**4299))
 
+    @pytest.mark.parametrize(
+        "value, exact",
+        [
+            ("1.5" + "0" * 4300, Fraction(3, 2)),
+            ("0" * 5000 + "1", Fraction(1)),
+            ("1/" + "0" * 4400 + "2", Fraction(1, 2)),
+            ("1e" + "0" * 5000 + "1", Fraction(10)),
+            ("-" + "0" * 5000 + ".0" + "0" * 5000 + "e-" + "0" * 5000, Fraction(0)),
+        ],
+        ids=["fraction-trailing-zeros", "integer-leading-zeros", "denominator-leading-zeros",
+             "exponent-leading-zeros", "zero-written-long"],
+    )
+    def test_zeros_without_value_count_toward_no_cap(self, tmp_path, value, exact):
+        payload = {"m": 1, "conditions": [{"a": [["1", value]], "b": [[1, 0]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "zeros.json", payload)])
+        assert code == 0 and out and err == ""
+        assert cli.parse_condition_data(payload).exact[0][0] == (1, exact)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0" * 10 + "2" * 4301, "0." + "2" * 4301 + "0" * 10, "1/" + "0" * 10 + "3" * 4301,
+         "1e" + "9" * 5000, "-1e-" + "0" * 10 + "9" * 5000],
+        ids=["integer", "fraction", "denominator", "exponent", "negative-exponent"],
+    )
+    def test_value_over_cap_after_dropping_zeros_names_field(self, tmp_path, value):
+        payload = {"m": 1, "conditions": [{"a": [["1", value]], "b": [[1, 0]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "long.json", payload)])
+        assert code == 2 and out == ""
+        assert err == "error: conditions[0].a[0][1]: exact value has more than 4300 digits\n"
+
     def test_verify_order_out_of_range(self):
         code, _, err = run_cli(["verify", "--m", "17"])
         assert code == 2 and "order" in err

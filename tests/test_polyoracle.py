@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import BoundaryConditionSystem, contraction, forms, polyoracle
+from bca import BoundaryConditionSystem, cli, contraction, forms, polyoracle
 from bca.errors import DegenerateSystem
 from bca.polyoracle import (
     BoundaryVector,
@@ -422,8 +422,12 @@ class TestBareiss:
     def test_rank_deficient_matches_rref(self, m, rank):
         system = exact_system(np.random.default_rng(80 + m), m, rank=rank)
         self.assert_matches_rref(system)
-        _, pivots, _ = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
+        rows, pivots, det = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
         assert len(pivots) == rank
+        # the pivot block is d I: d on each pivot row, 0 in every other row
+        assert [[row[col] for col in pivots] for row in rows] == [
+            [det if i == j else (0, 0) for j in range(rank)] for i in range(m)
+        ]
 
     def test_zero_leading_entry_swaps_rows(self):
         half = Fraction(1, 2)
@@ -451,3 +455,41 @@ class TestBareiss:
     def test_inexact_division_raises(self, a, b):
         with pytest.raises(ArithmeticError):
             polyoracle._exact_quotient(a, b)
+
+
+class TestSampleStream:
+    @staticmethod
+    def count_draws(monkeypatch):
+        polyoracle._scaled_draws.cache_clear()
+        calls = []
+        draw = polyoracle._stream_draw
+        monkeypatch.setattr(polyoracle, "_stream_draw", lambda *key: calls.append(key) or draw(*key))
+        return calls
+
+    def test_miss_and_hit_equal_the_reference_stream(self):
+        polyoracle._scaled_draws.cache_clear()
+        expected = [12 * polyoracle.random_rational_complex(7, "bv3", j) for j in range(6)]
+        miss = polyoracle._scaled_draws(7, "bv3", 6)
+        hit = polyoracle._scaled_draws(7, "bv3", 6)
+        info = polyoracle._scaled_draws.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert isinstance(miss, tuple) and hit is miss
+        assert [qc(*z) for z in hit] == expected
+
+    def test_verify_hashes_each_vector_once(self, monkeypatch, capsys):
+        calls = self.count_draws(monkeypatch)
+        assert cli.main(["verify", "--m", "4", "--samples", "5"]) == 0
+        # one hash per real or imaginary part: 5 vectors of 2m = 8 Gaussian
+        # entries, each drawn once for both identity suites
+        assert len(calls) == 5 * 2 * (2 * 4)
+        assert len(set(calls)) == len(calls)
+        assert capsys.readouterr().out
+
+    def test_spot_check_weights_are_hashed_once_per_order(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        systems = (helpers.random_system(rng, 3), exact_system(rng, 3))
+        calls = self.count_draws(monkeypatch)
+        reports = [sample_dissipativity(system, 4, seed=6) for system in systems]
+        # 4 weight vectors of m = 3 Gaussian entries, drawn for the first system only
+        assert len(calls) == 4 * 2 * 3
+        assert reports[0] != reports[1]
