@@ -104,28 +104,33 @@ def _complex_pair(z: complex) -> list[float]:
 # as Python's default limit allows an int string.
 _MAX_DIGITS = 4300
 _DIGIT_CAP = 10**_MAX_DIGITS
-# Fraction's plain string forms: sign, integer part, then a denominator
-# or a fractional part and an exponent
-_PLAIN_NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)(\d+))?)\s*")
+# A number string: sign, integer part, then a denominator or a fractional
+# part and an exponent.  This is the grammar of Fraction strings before
+# Python 3.11 (later ones also take underscores, and 3.12 spaces around /).
+_NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)(\d+))?)\s*")
 
 
-def _drop_valueless_zeros(value: str) -> str:
-    """The number string without the zeros that carry no value: leading
-    zeros of the integer part, the denominator and the exponent, and
-    trailing zeros of the fractional part.  Other strings are returned
-    as they are."""
-    match = _PLAIN_NUMBER.fullmatch(value)
-    if not match:
-        return value
+def _parse_string(value: str, where: str) -> Fraction | None:
+    """The exact value of a number string, or None if it is over the cap.
+
+    Zeros that carry no value are dropped first: leading zeros of the
+    integer part, the denominator and the exponent, and trailing zeros of
+    the fractional part.  Then a digit run longer than _MAX_DIGITS is over
+    the cap, and so is an exponent past 2 _MAX_DIGITS, where any nonzero
+    mantissa within the limit leaves a part over the cap (even on a zero).
+    Both are judged on the string, before 10^e is expanded."""
+    match = _NUMBER.fullmatch(value)
+    if not match or match[3] is not None and not match[3].lstrip("0"):  # no number, or over 0
+        shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
+        raise FileFormatError(f"{where}: bad rational string {shown}")
     sign, whole, den, frac, exp_sign, exp = match.groups()
-    text = sign + (whole.lstrip("0") or whole[:1])
-    if den is not None:
-        text += "/" + (den.lstrip("0") or "0")
-    if frac is not None:
-        text += "." + (frac.rstrip("0") or frac[:1])
-    if exp is not None:
-        text += "e" + exp_sign + (exp.lstrip("0") or "0")
-    return text
+    whole, den, exp = whole.lstrip("0"), (den or "1").lstrip("0"), (exp or "").lstrip("0")
+    frac = (frac or "").rstrip("0")
+    if max(len(whole), len(den), len(frac), len(exp)) > _MAX_DIGITS or int(exp or 0) > 2 * _MAX_DIGITS:
+        return None
+    shift = (-1 if exp_sign == "-" else 1) * int(exp or 0) - len(frac)
+    numerator = (int(whole or 0) * 10 ** len(frac) + int(frac or 0)) * 10 ** max(shift, 0)
+    return Fraction(-numerator if sign == "-" else numerator, int(den) * 10 ** max(-shift, 0))
 
 
 def _parse_part(value, where: str) -> Fraction:
@@ -136,24 +141,7 @@ def _parse_part(value, where: str) -> Fraction:
         raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-    text = _drop_valueless_zeros(value) if isinstance(value, str) else value
-    _, e, exponent = text.lower().rpartition("e") if isinstance(value, str) else ("", "", "")
-    try:
-        # Fraction expands 10^e before anything else.  Past |e| = 2 _MAX_DIGITS
-        # any nonzero mantissa within the digit limit leaves a part over the
-        # cap, so such an exponent is refused on the string (even on a zero).
-        part = None if e and abs(int(exponent)) > 2 * _MAX_DIGITS else Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        # Python (3.10.7 on) refuses to read a run of over _MAX_DIGITS digits
-        too_long = re.search(rf"\d{{{_MAX_DIGITS + 1}}}", text)
-        try:  # a well-formed string with such a run is over the cap
-            Fraction(re.sub(r"\d+", "1", text))
-        except ValueError:
-            too_long = None
-        if not too_long:
-            shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
-            raise FileFormatError(f"{where}: bad rational string {shown}") from exc
-        part = None
+    part = _parse_string(value, where) if isinstance(value, str) else Fraction(value)
     if part is None or max(abs(part.numerator), part.denominator) >= _DIGIT_CAP:
         raise FileFormatError(f"{where}: exact value has more than {_MAX_DIGITS} digits")
     try:
@@ -355,8 +343,9 @@ def _oracle_section(s: _Subject) -> dict:
 
 def _identities_section(s: _Subject) -> dict:
     m, samples, seed = s.args.m, s.args.samples, s.args.seed
-    boundary = polyoracle.verify_boundary_form_identity(m, samples, seed)
-    canonical = polyoracle.verify_canonical_identity(m, samples, seed)
+    draws = polyoracle.boundary_draws(m, samples, seed)  # both suites sample these vectors
+    boundary = polyoracle.verify_boundary_form_identity(m, samples, seed, draws=draws)
+    canonical = polyoracle.verify_canonical_identity(m, samples, seed, draws=draws)
     return {
         "boundary_form": {"passed": boundary.passed, "max_defect": boundary.max_defect},
         "canonical_coordinates": {"passed": canonical.passed, "max_defect": canonical.max_defect},

@@ -33,8 +33,9 @@ the reference route.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
-reproducible across platforms.  The scaled vectors of the sampled forms
-are memoized per process; the reference route draws afresh.
+reproducible across platforms.  Both identity suites sample the same
+boundary vectors; a caller that runs both draws them once with
+:func:`boundary_draws` and passes them to each suite.
 """
 
 from __future__ import annotations
@@ -368,19 +369,14 @@ def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
 STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 
 
-@functools.lru_cache(maxsize=1024)
-def _scaled_draws(seed: int, tag: str, size: int) -> tuple[Gaussian, ...]:
+def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
     """``STREAM_SCALE * random_rational_complex(seed, tag, j)`` for j < size,
-    as Gaussian integers.  Memoized, so each vector is hashed once per
-    process: both identity suites draw the same ``bv`` vectors, and the
-    spot-check draws the same ``ns`` weights for every system of one order.
-    Default use (25 samples, orders 1..16, both tags) is 800 keys, about
-    1.1 MB."""
+    as Gaussian integers."""
     parts = []
     for index in range(2 * size):
         numerator, denominator = _stream_draw(seed, tag, index)
         parts.append(numerator * (STREAM_SCALE // denominator))
-    return tuple(zip(parts[::2], parts[1::2]))
+    return list(zip(parts[::2], parts[1::2]))
 
 
 def _exact_quotient(a: Gaussian, b: Gaussian) -> Gaussian:
@@ -483,14 +479,10 @@ def _check_sample_count(sample_count: int) -> None:
         raise ValueError("sample_count must be >= 1")
 
 
-def _form_samples(rows, sample_count: int, seed: int, tag: str) -> list[Gaussian]:
-    """``v R v*`` of a Gaussian-integer form R at ``v = _scaled_draws(seed,
-    tag + str(index), len(R))`` for index < sample_count: the sampled form
-    values times ``STREAM_SCALE ** 2`` and R's denominator."""
-    return [
-        _gaussian_dot(_gaussian_vecmat(v, rows), v)
-        for v in (_scaled_draws(seed, f"{tag}{index}", len(rows)) for index in range(sample_count))
-    ]
+def _form_samples(rows, vectors) -> list[Gaussian]:
+    """``v R v*`` of a Gaussian-integer form R at each scaled draw v: the
+    sampled form values times ``STREAM_SCALE ** 2`` and R's denominator."""
+    return [_gaussian_dot(_gaussian_vecmat(v, rows), v) for v in vectors]
 
 
 def _binary_integers(values: np.ndarray) -> tuple[list[int], int]:
@@ -519,18 +511,37 @@ def _difference(m: int, target: np.ndarray, scale: int) -> tuple[GaussianRows, i
     ], t_den * f_den
 
 
-def _identity_report(m: int, sample_count: int, seed: int, target, scale: int) -> IdentityReport:
+def _check_identity_args(m: int, sample_count: int) -> None:
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
+    _check_sample_count(sample_count)
+
+
+def boundary_draws(m: int, sample_count: int, seed: int) -> list[list[Gaussian]]:
+    """The boundary vectors both identity suites sample:
+    ``STREAM_SCALE * random_boundary_vector(m, seed, index)`` for index <
+    sample_count, as Gaussian integers.  A caller that runs both suites
+    draws them once and passes them to each as ``draws``."""
+    _check_identity_args(m, sample_count)
+    return [_scaled_draws(seed, f"bv{index}", 2 * m) for index in range(sample_count)]
+
+
+def _identity_report(m: int, sample_count: int, seed: int, target, scale: int, draws) -> IdentityReport:
     """Certificate of the identity ``yh target(m) yh* = scale Im(L0 y, y)``
     for every boundary vector yh: ``passed`` says that the Hermitian form
     ``D = target(m) - scale F`` is the zero matrix, so a nonzero D fails
     even when every sample misses it.  ``max_defect`` is the largest
     ``|Re q| + |Im q|`` of ``q = yh D yh*`` over sampled rational boundary
-    vectors yh (those of :func:`random_boundary_vector`)."""
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
-    _check_sample_count(sample_count)
+    vectors yh: ``draws``, or those of :func:`boundary_draws` if it is
+    None."""
+    if draws is None:
+        draws = boundary_draws(m, sample_count, seed)
+    else:
+        _check_identity_args(m, sample_count)
+        if [len(v) for v in draws] != [2 * m] * sample_count:
+            raise ValueError("draws must be boundary_draws(m, sample_count, seed)")
     rows, den = _difference(m, target(m), scale)
-    worst = max(abs(re) + abs(im) for re, im in _form_samples(rows, sample_count, seed, "bv"))
+    worst = max(abs(re) + abs(im) for re, im in _form_samples(rows, draws))
     return IdentityReport(
         passed=not any(re or im for row in rows for re, im in row),
         max_defect=Fraction(worst, STREAM_SCALE**2 * den),
@@ -539,7 +550,7 @@ def _identity_report(m: int, sample_count: int, seed: int, target, scale: int) -
 
 
 def verify_boundary_form_identity(
-    m: int, sample_count: int, seed: int
+    m: int, sample_count: int, seed: int, *, draws=None
 ) -> IdentityReport:
     """Check ``2 Im(L0 y, y) = yh M yh*`` exactly, as the matrix equation
     ``M - 2F = 0``.
@@ -547,9 +558,10 @@ def verify_boundary_form_identity(
     ``Im(L0 y, y)`` of the Hermite interpolant y of a boundary vector yh
     is the exact Gram form ``yh F yh*``.  The reported defect is the
     largest ``|2 Im(L0 y, y) - Re rhs| + |Im rhs|``, with
-    ``rhs = yh M yh*``, over drawn small rational boundary vectors yh.
+    ``rhs = yh M yh*``, over drawn small rational boundary vectors yh
+    (``draws``, if given, must be ``boundary_draws(m, sample_count, seed)``).
     """
-    return _identity_report(m, sample_count, seed, forms.build_M, 2)
+    return _identity_report(m, sample_count, seed, forms.build_M, 2, draws)
 
 
 def _canonical_target(m: int) -> np.ndarray:
@@ -562,11 +574,11 @@ def _canonical_target(m: int) -> np.ndarray:
     return (s - s.conj().T) / 2j
 
 
-def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
+def verify_canonical_identity(m: int, sample_count: int, seed: int, *, draws=None) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly, as the matrix equation
     ``(S - S*)/2i - F = 0``; the defect is sampled as in
     :func:`verify_boundary_form_identity`."""
-    return _identity_report(m, sample_count, seed, _canonical_target, 1)
+    return _identity_report(m, sample_count, seed, _canonical_target, 1, draws)
 
 
 def rational_nullspace(
@@ -627,7 +639,8 @@ def sample_dissipativity(
         basis.append(vec)
     form, den = _integer_imaginary_form(m)
     restricted = [[_gaussian_dot(left, row) for row in basis] for left in (_gaussian_vecmat(r, form) for r in basis)]
-    least = min(re for re, _ in _form_samples(restricted, sample_count, seed, "ns"))
+    weights = [_scaled_draws(seed, f"ns{index}", m) for index in range(sample_count)]
+    least = min(re for re, _ in _form_samples(restricted, weights))
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count

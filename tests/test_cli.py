@@ -482,14 +482,17 @@ class TestErrorHandling:
         else:
             payload = {"m": 1, "V": [[["0", value]]]}
         built = []
-        monkeypatch.setattr(cli, "Fraction", lambda part: built.append(part) or Fraction(part))
+        monkeypatch.setattr(cli, "Fraction", lambda *args: built.append(args) or Fraction(*args))
         code, out, err = run_cli([command, write_json(tmp_path / "long.json", payload)])
         assert code == 2 and out == ""
         assert err == f"error: {where}: exact value has more than 4300 digits\n"
         # an exponent past twice the cap is refused on the string, before
-        # Fraction expands 10^e; a value with no exponent reaches Fraction
+        # 10^e is expanded: no Fraction is built from a larger power, and
+        # a smaller exponent reaches Fraction as 10^|e|
+        assert all(abs(n) <= 10**8600 for args in built for n in args)
         _, e, exponent = value.partition("e")
-        assert (value in built) == (not e or abs(int(exponent)) <= 8600)
+        if e and abs(int(exponent)) <= 8600:
+            assert (1, 10 ** abs(int(exponent))) in built
 
     def test_exact_part_at_digit_cap_is_kept(self):
         system = cli.parse_condition_data({"m": 1, "conditions": [{"a": [["1", "1e-4299"]], "b": [[1, 0]]}]})
@@ -524,6 +527,17 @@ class TestErrorHandling:
         code, out, err = run_cli(["check", write_json(tmp_path / "long.json", payload)])
         assert code == 2 and out == ""
         assert err == "error: conditions[0].a[0][1]: exact value has more than 4300 digits\n"
+
+    @pytest.mark.parametrize(
+        "value", ["1_0", "1 / 2", "0_" + "0" * 5000 + "1", "1.5e", "--1", "1/2.5"],
+        ids=["underscore", "spaced-slash", "underscored-zeros", "empty-exponent", "double-sign", "decimal-denominator"],
+    )
+    def test_one_grammar_on_every_python(self, tmp_path, value):
+        # underscores and spaces around / are malformed even where Fraction takes them
+        payload = {"m": 1, "conditions": [{"a": [["1", value]], "b": [[1, 0]]}]}
+        code, out, err = run_cli(["check", write_json(tmp_path / "bad.json", payload)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: conditions[0].a[0][1]: bad rational string {value[:40]!r}")
 
     def test_verify_order_out_of_range(self):
         code, _, err = run_cli(["verify", "--m", "17"])

@@ -460,21 +460,16 @@ class TestBareiss:
 class TestSampleStream:
     @staticmethod
     def count_draws(monkeypatch):
-        polyoracle._scaled_draws.cache_clear()
         calls = []
         draw = polyoracle._stream_draw
         monkeypatch.setattr(polyoracle, "_stream_draw", lambda *key: calls.append(key) or draw(*key))
         return calls
 
-    def test_miss_and_hit_equal_the_reference_stream(self):
-        polyoracle._scaled_draws.cache_clear()
-        expected = [12 * polyoracle.random_rational_complex(7, "bv3", j) for j in range(6)]
-        miss = polyoracle._scaled_draws(7, "bv3", 6)
-        hit = polyoracle._scaled_draws(7, "bv3", 6)
-        info = polyoracle._scaled_draws.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert isinstance(miss, tuple) and hit is miss
-        assert [qc(*z) for z in hit] == expected
+    def test_boundary_draws_equal_the_reference_stream(self):
+        draws = polyoracle.boundary_draws(3, 4, seed=7)
+        assert [[qc(*z) for z in v] for v in draws] == [
+            [12 * z for z in random_boundary_vector(3, seed=7, index=index).components] for index in range(4)
+        ]
 
     def test_verify_hashes_each_vector_once(self, monkeypatch, capsys):
         calls = self.count_draws(monkeypatch)
@@ -485,11 +480,24 @@ class TestSampleStream:
         assert len(set(calls)) == len(calls)
         assert capsys.readouterr().out
 
-    def test_spot_check_weights_are_hashed_once_per_order(self, monkeypatch):
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_shared_draws_give_the_same_reports(self, m):
+        draws = polyoracle.boundary_draws(m, 5, seed=3)
+        for suite in (verify_boundary_form_identity, verify_canonical_identity):
+            assert suite(m, 5, 3, draws=draws) == suite(m, 5, 3)
+
+    @pytest.mark.parametrize("m, sample_count", [(4, 5), (3, 4)], ids=["other-order", "other-count"])
+    def test_draws_of_another_shape_are_refused(self, m, sample_count):
+        draws = polyoracle.boundary_draws(3, 5, seed=3)
+        with pytest.raises(ValueError, match="boundary_draws"):
+            verify_boundary_form_identity(m, sample_count, 3, draws=draws)
+
+    def test_each_call_draws_afresh(self, monkeypatch):
+        # no sample is kept between calls: two spot-checks with one seed
+        # hash their 4 weight vectors of m = 3 Gaussian entries each
         rng = np.random.default_rng(90)
         systems = (helpers.random_system(rng, 3), exact_system(rng, 3))
         calls = self.count_draws(monkeypatch)
         reports = [sample_dissipativity(system, 4, seed=6) for system in systems]
-        # 4 weight vectors of m = 3 Gaussian entries, drawn for the first system only
-        assert len(calls) == 4 * 2 * 3
+        assert len(calls) == 2 * (4 * 2 * 3)
         assert reports[0] != reports[1]
