@@ -8,6 +8,10 @@ output.
 
 Exit codes: 0 = ran and the verdict is in the report, 2 = invalid input,
 3 = internal numerical failure.
+
+numpy and the float layers are imported where a parser or section first
+needs them, so ``verify`` never loads numpy.  Calls go through the module
+(``bc_core.normalize``), so a function replaced on it is the one called.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, bc_core, contraction, forms, polyoracle, regularity
-from .bc_core import BoundaryConditionSystem
+from . import __version__, polyoracle
 from .errors import InvalidInput, NumericalFailure
-from .numerics import TolerancePolicy
+from .tolerances import TolerancePolicy
+
+if TYPE_CHECKING:
+    from . import bc_core, contraction, forms, regularity
 
 _TOOL = {"name": "bca", "version": __version__}
 
@@ -185,7 +190,7 @@ def _parse_values(values, m: int, where: str) -> list[tuple[Fraction, Fraction]]
     return [_parse_complex(value, f"{where}[{k}]") for k, value in enumerate(values)]
 
 
-def parse_condition_data(data: dict) -> BoundaryConditionSystem:
+def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
     """The system of a conditions file; it keeps the exact coefficients
     next to their doubles, so the exact oracle sees the input's rationals."""
     m = _parse_order(data)
@@ -204,10 +209,13 @@ def parse_condition_data(data: dict) -> BoundaryConditionSystem:
     for j, (exact_row, row) in enumerate(zip(exact, rounded)):
         if any(re or im for re, im in exact_row) and not any(row):
             raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
-    return BoundaryConditionSystem(m, rounded, exact=exact)
+    from . import bc_core
+    return bc_core.BoundaryConditionSystem(m, rounded, exact=exact)
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:
+    import numpy as np
+    from . import contraction
     m = _parse_order(data)
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
@@ -216,7 +224,7 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     return contraction.ContractionParametrization(m=m, V=np.array(matrix, dtype=np.complex128))
 
 
-def system_to_conditions(system: BoundaryConditionSystem) -> list[dict]:
+def system_to_conditions(system: bc_core.BoundaryConditionSystem) -> list[dict]:
     return [
         {"a": [_complex_pair(z) for z in a], "b": [_complex_pair(z) for z in b]}
         for a, b in zip(system.a, system.b)
@@ -227,7 +235,7 @@ def system_to_conditions(system: BoundaryConditionSystem) -> list[dict]:
 # report assembly
 
 
-def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
+def generate_odd_irregular(n: int) -> bc_core.BoundaryConditionSystem:
     """The irregular dissipative family of odd order m = 2n - 1.
 
     Conditions: y^(k)(0) = y^(k)(1) = 0 for k = n..2n-2, plus
@@ -240,6 +248,8 @@ def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
     m = 2 * n - 1
     if m > polyoracle.MAX_ORDER:  # an unbounded n would only exhaust memory
         raise FileFormatError(f"--n: family parameter must be <= {(polyoracle.MAX_ORDER + 1) // 2}, got {n}")
+    import numpy as np
+    from . import bc_core
     coeffs = np.zeros((m, 2 * m), dtype=np.complex128)
     row = 0
     for k in range(2 * n - 2, n - 1, -1):
@@ -247,7 +257,7 @@ def generate_odd_irregular(n: int) -> BoundaryConditionSystem:
         coeffs[row + 1, m + k] = 1.0
         row += 2
     coeffs[row, m + n - 1] = 1.0
-    return BoundaryConditionSystem(m, coeffs)
+    return bc_core.BoundaryConditionSystem(m, coeffs)
 
 
 @dataclasses.dataclass
@@ -269,7 +279,7 @@ class _Subject:
             raise FileFormatError(f"cannot read {self.args.file!r}: {exc}") from exc
 
     @cached_property
-    def system(self) -> BoundaryConditionSystem:
+    def system(self) -> bc_core.BoundaryConditionSystem:
         args = self.args
         if args.command == "example":
             if args.name != "odd-irregular":
@@ -277,19 +287,23 @@ class _Subject:
             return generate_odd_irregular(args.n)
         data = _load_json(self.raw, args.file)
         if args.command == "from-contraction":
+            from . import contraction
             return contraction.from_contraction(parse_contraction_data(data), self.tol)
         return parse_condition_data(data)
 
     @cached_property
     def normalized(self) -> bc_core.NormalizedSystem:
+        from . import bc_core
         return bc_core.normalize(self.system, self.tol)
 
     @cached_property
     def diss(self) -> forms.DissipativityVerdict:
+        from . import forms
         return forms.dissipativity_verdict(self.system, self.tol)
 
     @cached_property
     def reg(self) -> regularity.RegularityReport:
+        from . import regularity
         return regularity.regularity_verdict(self.normalized, self.tol)
 
     @cached_property
@@ -297,6 +311,7 @@ class _Subject:
         """V as [re, im] pairs, None for a system that is not dissipative."""
         if not self.diss.dissipative:
             return None
+        from . import contraction
         con = contraction.to_contraction(self.system, self.tol)
         # entries below 1e-12 are flushed for report readability only
         return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]

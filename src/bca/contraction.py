@@ -7,13 +7,12 @@ then precisely the kernels of ``(V - I) yv + i (V + I) y^`` for matrices
 V with operator norm at most 1; unitary V corresponds to self-adjoint
 conditions.
 
-One closed form builds the maps for every m: at each endpoint derivative
-k pairs with derivative m-1-k, with a sign alternating in k and between
-the endpoints, times i for odd m.  Odd m adds the middle derivatives of
-both endpoints as one row of weight 1/sqrt(2), the unique scaling under
-which the identity holds (certified exactly by the rational oracle).  The
-integer parts of the maps and the squared weights 1/2 and 1 are exposed
-separately, so exact-arithmetic consumers never meet sqrt(1/2).
+The maps are the integer closed form :func:`bca.exact.canonical_components`
+converted to numpy: at each endpoint derivative k pairs with derivative
+m-1-k, with a sign alternating in k and between the endpoints, times i for
+odd m.  Odd m adds the middle derivatives of both endpoints as one row of
+weight 1/sqrt(2), the unique scaling under which the identity holds
+(certified exactly by the rational oracle on the same closed form).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms, numerics
+from . import exact, forms, numerics
 from .bc_core import BoundaryConditionSystem, validate
 from .errors import NotAContraction, NotDissipative, RankDeficiency
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
@@ -57,33 +56,19 @@ class ContractionParametrization:
 
 
 def integer_canonical_components(m: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Gaussian-integer map rows plus squared row weights.
-
-    With ``h = m // 2``, ``n = (m + 1) // 2`` and ``c = 1`` for even m,
-    ``c = i`` for odd m: derivative k < h at endpoint e in {0, 1} goes to
-    row ``r = m % 2 + e h + k`` with ``P_int[r, e m + k] = 1`` and
-    ``Q_int[r, e m + m-1-k] = c (-1)^(n-1-k+e)``.  Odd m adds row 0 with
-    ``P_int[0, h] = P_int[0, m+h] = 1``, ``Q_int[0, h] = i``,
-    ``Q_int[0, m+h] = -i`` and squared weight 1/2; every other weight is 1.
+    """Gaussian-integer map rows plus squared row weights: the closed form
+    :func:`bca.exact.canonical_components` as numpy.
 
     The actual maps are ``P = diag(w) P_int`` and ``Q = diag(w) Q_int``
     with ``w = sqrt(weight_sq)``; every entry of the returned matrices is
-    one of 0, +-1, +-i, and every weight is a binary float.
+    one of 0, +-1, +-i, and every weight (1/2 or 1) is a binary float.
     """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    h, n, odd = m // 2, (m + 1) // 2, m % 2
-    p_int = np.zeros((m, 2 * m), dtype=np.complex128)
-    q_int = np.zeros((m, 2 * m), dtype=np.complex128)
-    for e in (0, 1):
-        for k in range(h):
-            r, sign = odd + e * h + k, (-1) ** (n - 1 - k)
-            p_int[r, e * m + k] = 1.0
-            q_int[r, e * m + m - 1 - k] = ((1j, -1j) if odd else (1, -1))[e] * sign
-    if odd:
-        p_int[0, h] = p_int[0, m + h] = 1.0
-        q_int[0, h], q_int[0, m + h] = 1j, -1j
-    return p_int, q_int, (0.5,) * odd + (1.0,) * (m - odd)
+    p_int, q_int, weight_sq = exact.canonical_components(m)
+    return (
+        numerics.gaussian_matrix(p_int, 2 * m),
+        numerics.gaussian_matrix(q_int, 2 * m),
+        tuple(map(float, weight_sq)),
+    )
 
 
 def canonical_maps(m: int) -> CanonicalMaps:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import exact, numerics
 from .bc_core import BoundaryConditionSystem, validate
 from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
@@ -29,19 +29,15 @@ class DissipativityVerdict:
 
 
 def build_M(m: int) -> np.ndarray:
-    """Read-only 2m x 2m boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``.
+    """Read-only 2m x 2m boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``:
+    the closed form :func:`bca.exact.boundary_form` as numpy.
 
-    Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``.
-    Entries are exact Gaussian integers (0, +-1, +-i), so the matrix
-    converts losslessly to exact arithmetic.  B is Hermitian and unitary,
-    so the spectrum is {+1, -1}, each with multiplicity m.
+    Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``
+    (:func:`bca.exact.boundary_block`).  Entries are exact Gaussian
+    integers (0, +-1, +-i).  B is Hermitian and unitary, so the spectrum is
+    {+1, -1}, each with multiplicity m.
     """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    unit = -(1j ** ((m + 1) % 4))  # -i^(m+1), exact: the exponent stays small
-    block = np.zeros((m, m), dtype=np.complex128)
-    for p in range(m):
-        block[p, m - 1 - p] = unit * (-1) ** p
+    block = numerics.gaussian_matrix(exact.boundary_block(m), m)
     matrix = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     matrix[:m, :m] = block
     matrix[m:, m:] = -block

@@ -3,17 +3,18 @@
 Every verdict in the package reduces to a handful of primitives collected
 here: Hermitian definiteness classification, SVD ranks and row spans,
 subspace comparison and the spectral norm.  All functions are pure and
-safe for concurrent use.
+safe for concurrent use.  The tolerance policy they take is defined in
+:mod:`bca.tolerances` and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput
+from .tolerances import DEFAULT_TOLERANCES, TolerancePolicy  # re-exported
 
 
 class Definiteness(Enum):
@@ -21,30 +22,6 @@ class Definiteness(Enum):
     PSD = "psd"
     NSD = "nsd"
     INDEFINITE = "indefinite"
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative tolerances used by every decision in the package.
-
-    ``definiteness_tol`` gates eigenvalue sign decisions, ``rank_tol``
-    gates numerical-rank decisions, ``zero_tol`` gates coefficient zero
-    tests.  All are relative to a scale derived from the data, so scaling
-    a whole problem never changes a verdict.
-    """
-
-    definiteness_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    zero_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("definiteness_tol", "rank_tol", "zero_tol"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1e-2:
-                raise ValueError(f"{name} must lie in [0, 1e-2], got {value!r}")
-
-
-DEFAULT_TOLERANCES = TolerancePolicy()
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -132,3 +109,14 @@ def operator_norm(matrix) -> float:
     """Largest singular value (spectral norm)."""
     mat = as_complex_matrix(matrix)
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def gaussian_matrix(rows, columns: int) -> np.ndarray:
+    """The complex128 matrix of sparse Gaussian-integer rows (each row's
+    nonzero ``(re, im)`` int pairs by column, as :mod:`bca.exact` builds
+    them); every entry converts exactly."""
+    mat = np.zeros((len(rows), columns), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, (re, im) in row.items():
+            mat[i, j] = complex(re, im)
+    return mat

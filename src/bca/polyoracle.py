@@ -13,14 +13,16 @@ built in integers, with no elimination and no Fraction.  Because every
 quantity is exact, identity checks report a defect that must be literally
 zero -- there is no tolerance anywhere in this module.
 
-The sampled forms run fraction-free: each exact matrix is Gaussian
-integers (pairs of Python ints) over one denominator, and each drawn
-rational vector is scaled by ``STREAM_SCALE``, so every sample is an
-integer sum and one Fraction is built per report.  Both identities say
-that a closed-form Hermitian target equals ``scale F``: the boundary form
-matrix M with scale 2, and the canonical form ``(S - S*)/2i`` with scale
-1.  Each suite builds ``D = target - scale F`` per call, from a numpy
-target whose entries are exact in binary.  A Hermitian form is fixed by
+The sampled forms run fraction-free on the Gaussian-integer core of
+:mod:`bca.exact`: each exact matrix is Gaussian integers (pairs of Python
+ints) over one denominator, and each drawn rational vector is scaled by
+``STREAM_SCALE``, so every sample is an integer sum and one Fraction is
+built per report.  Both identities say that a closed-form Hermitian
+target equals ``scale F``: the boundary form matrix M with scale 2, and
+the canonical form ``(S - S*)/2i`` with scale 1.  Both targets are the
+integer closed forms of :mod:`bca.exact`, the same matrices that
+:mod:`bca.forms` and :mod:`bca.contraction` convert to numpy.  Each suite
+builds ``D = target - scale F`` per call.  A Hermitian form is fixed by
 its values, so D is the zero matrix exactly when the identity holds for
 every boundary vector: that is the certificate a suite reports as
 ``passed``.  The reported defect is the largest value of D at drawn
@@ -29,7 +31,7 @@ to Gaussian integers and eliminates by Bareiss's fraction-free
 Gauss-Jordan method, whose every division is exact and checked; the
 result is the RREF null-space basis times one Gaussian integer.  All
 three share one sampling loop.  RationalComplex and ``_rref`` serve only
-the reference route.
+the reference route.  Nothing here imports numpy.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
@@ -46,12 +48,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import contraction, forms
-from .bc_core import BoundaryConditionSystem
+from . import exact
 from .errors import DegenerateSystem
+from .exact import Gaussian, GaussianRows, _bareiss, _gaussian_dot, _gaussian_vecmat, _integer_rows
+
+if TYPE_CHECKING:
+    from .bc_core import BoundaryConditionSystem
 
 
 class RationalComplex:
@@ -125,8 +129,6 @@ class RationalComplex:
 QC_ZERO = RationalComplex(0, 0)
 QC_ONE = RationalComplex(1, 0)
 MAX_ORDER = 16  # the largest order the identity suites accept
-Gaussian = tuple[int, int]  # re + i im, as Python ints
-GaussianRows = list[list[Gaussian]]
 
 
 def _minus_i_power(m: int) -> Gaussian:
@@ -379,84 +381,6 @@ def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
     return list(zip(parts[::2], parts[1::2]))
 
 
-def _exact_quotient(a: Gaussian, b: Gaussian) -> Gaussian:
-    """``a / b`` in Z[i]; raises ArithmeticError unless b divides a."""
-    (ar, ai), (br, bi) = a, b
-    if bi == 0:
-        (re, re_rest), (im, im_rest) = divmod(ar, br), divmod(ai, br)
-    else:
-        norm = br * br + bi * bi
-        (re, re_rest), (im, im_rest) = divmod(ar * br + ai * bi, norm), divmod(ai * br - ar * bi, norm)
-    if re_rest or im_rest:
-        raise ArithmeticError(f"{a} is not a Gaussian-integer multiple of {b}")
-    return re, im
-
-
-def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
-    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
-
-    Each step replaces every other row x by ``(p x - x[col] y) / prev``,
-    with y the pivot row, p its pivot and prev the previous pivot.
-    Sylvester's identity makes that division exact (Bareiss, Math. Comp.
-    22, 1968), so every entry stays a Gaussian integer.  Returns the rows,
-    the pivot columns and the last pivot d: the rows are the RREF of
-    :func:`_rref` (same pivoting) times d.
-
-    After each step the pivot columns are p I on the pivot rows and 0
-    elsewhere, so a step updates only the columns that are not pivots,
-    and the pivot block is set to d I once at the end.
-    """
-    rows = [list(row) for row in rows]
-    pivots: list[int] = []
-    live = list(range(len(rows[0])))  # the columns that are not pivots
-    prev = (1, 0)
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != (0, 0)), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r]
-        pr, pi = top[col]
-        pivots.append(col)
-        live.remove(col)
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            fr, fi = row[col]
-            for c in live:
-                (xr, xi), (yr, yi) = row[c], top[c]
-                row[c] = _exact_quotient(
-                    (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr), prev
-                )
-        prev = top[col]
-    for i, row in enumerate(rows):
-        for j, col in enumerate(pivots):
-            row[col] = prev if i == j else (0, 0)
-    return rows, pivots, prev
-
-
-def _gaussian_vecmat(vector, rows) -> list[Gaussian]:
-    """Gaussian-integer row vector times a Gaussian-integer matrix."""
-    out_re, out_im = [0] * len(rows[0]), [0] * len(rows[0])
-    for (wr, wi), row in zip(vector, rows):
-        if not (wr or wi):
-            continue
-        for col, (xr, xi) in enumerate(row):
-            out_re[col] += wr * xr - wi * xi
-            out_im[col] += wr * xi + wi * xr
-    return list(zip(out_re, out_im))
-
-
-def _gaussian_dot(u, v) -> Gaussian:
-    """``u v*``: the sum of ``u_k conj(v_k)`` over Gaussian integers."""
-    re = im = 0
-    for (ur, ui), (vr, vi) in zip(u, v):
-        re += ur * vr + ui * vi
-        im += ui * vr - ur * vi
-    return re, im
-
-
 @functools.cache
 def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
     """Hermitian F with ``Im(L0 y, y) = yh F yh*`` as Gaussian integers over
@@ -485,29 +409,15 @@ def _form_samples(rows, vectors) -> list[Gaussian]:
     return [_gaussian_dot(_gaussian_vecmat(v, rows), v) for v in vectors]
 
 
-def _binary_integers(values: np.ndarray) -> tuple[list[int], int]:
-    """Integers N and the least den > 0 with ``values.ravel() == N / den``
-    for a float array; only its nonzero entries are converted."""
-    flat = values.ravel()
-    nonzero = np.flatnonzero(flat)
-    ratios = [x.as_integer_ratio() for x in flat[nonzero].tolist()]
-    den = math.lcm(*(q for _, q in ratios))
-    integers = [0] * flat.size
-    for index, (p, q) in zip(nonzero.tolist(), ratios):
-        integers[index] = p * (den // q)
-    return integers, den
-
-
-def _difference(m: int, target: np.ndarray, scale: int) -> tuple[GaussianRows, int]:
-    """``target - scale F`` over one denominator, for a 2m x 2m numpy
-    matrix target whose entries are exact in binary."""
-    exact, t_den = _binary_integers(np.stack((target.real, target.imag), axis=-1))
+def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[GaussianRows, int]:
+    """``target - scale F`` over one denominator, for a 2m x 2m target
+    given as Gaussian-integer rows over their denominator."""
+    t_rows, t_den = target
     form, f_den = _integer_imaginary_form(m)
     weight = scale * t_den
-    t_rows = [exact[start : start + 4 * m] for start in range(0, len(exact), 4 * m)]  # re, im, re, ...
     return [
-        [(tr * f_den - weight * fr, ti * f_den - weight * fi) for (fr, fi), tr, ti in zip(f_row, t_row[::2], t_row[1::2])]
-        for f_row, t_row in zip(form, t_rows)
+        [(tr * f_den - weight * fr, ti * f_den - weight * fi) for (tr, ti), (fr, fi) in zip(t_row, f_row)]
+        for t_row, f_row in zip(t_rows, form)
     ], t_den * f_den
 
 
@@ -561,24 +471,14 @@ def verify_boundary_form_identity(
     ``rhs = yh M yh*``, over drawn small rational boundary vectors yh
     (``draws``, if given, must be ``boundary_draws(m, sample_count, seed)``).
     """
-    return _identity_report(m, sample_count, seed, forms.build_M, 2, draws)
-
-
-def _canonical_target(m: int) -> np.ndarray:
-    """``(S - S*) / 2i``, the Hermitian form of ``Im<yv, y^> = Im(yh S yh*)``,
-    with ``S = Q_int^T diag(w^2) conj(P_int)`` from
-    :func:`contraction.integer_canonical_components`.  Every entry is a sum
-    of 0, +-1 or +-i times 1/2 or 1, so numpy forms it exactly."""
-    p_int, q_int, weight_sq = contraction.integer_canonical_components(m)
-    s = q_int.T @ (np.array(weight_sq)[:, None] * p_int.conj())
-    return (s - s.conj().T) / 2j
+    return _identity_report(m, sample_count, seed, exact.boundary_form, 2, draws)
 
 
 def verify_canonical_identity(m: int, sample_count: int, seed: int, *, draws=None) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly, as the matrix equation
     ``(S - S*)/2i - F = 0``; the defect is sampled as in
     :func:`verify_boundary_form_identity`."""
-    return _identity_report(m, sample_count, seed, _canonical_target, 1, draws)
+    return _identity_report(m, sample_count, seed, exact.canonical_target, 1, draws)
 
 
 def rational_nullspace(
@@ -597,17 +497,6 @@ def rational_nullspace(
             vec[col] = -rows[row][free]
         basis.append(vec)
     return basis
-
-
-def _integer_rows(rows) -> GaussianRows:
-    """Each row of exact (re, im) pairs (ints, Fractions or floats) times the
-    lcm of its denominators: Gaussian-integer rows with the same row span."""
-    integer_rows = []
-    for row in rows:
-        ratios = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in row]
-        den = math.lcm(*(q for pair in ratios for _, q in pair))
-        integer_rows.append([(a * (den // b), c * (den // d)) for (a, b), (c, d) in ratios])
-    return integer_rows
 
 
 def sample_dissipativity(

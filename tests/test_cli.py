@@ -637,6 +637,19 @@ class TestToleranceFlags:
         code, _, err = run_cli(["check", path, "--tol", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, env, source", [(["--tol", "0.5"], None, "--tol"), ([], "abc", "BCA_TOL")], ids=["flag", "env"]
+    )
+    def test_bad_tolerance_on_verify_names_its_source(self, monkeypatch, flag, env, source):
+        # verify builds its policy without the float layers; it is still checked
+        if env is None:
+            monkeypatch.delenv("BCA_TOL", raising=False)
+        else:
+            monkeypatch.setenv("BCA_TOL", env)
+        code, out, err = run_cli(["verify", "--m", "2", "--samples", "1", *flag])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {source}: ")
+
 
 def key_paths(obj, prefix=""):
     """Dotted paths of a report's leaves, in output order."""

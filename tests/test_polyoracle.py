@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import BoundaryConditionSystem, cli, contraction, forms, polyoracle
+from bca import BoundaryConditionSystem, cli, exact, polyoracle
 from bca.errors import DegenerateSystem
 from bca.polyoracle import (
     BoundaryVector,
@@ -219,9 +219,9 @@ class TestGram:
     def test_identities_hold_as_matrices(self, m):
         # a Hermitian form is fixed by its values, so these equalities prove
         # both identities for every boundary vector, not only for samples:
-        # M - 2F = 0 and (S - S*)/2i - F = 0 as exact matrices, which also
-        # shows that numpy forms both targets exactly
-        for target, scale in ((forms.build_M, 2), (polyoracle._canonical_target, 1)):
+        # M - 2F = 0 and (S - S*)/2i - F = 0 as exact matrices, with both
+        # targets the integer closed forms that the float layers convert
+        for target, scale in ((exact.boundary_form, 2), (exact.canonical_target, 1)):
             rows, den = polyoracle._difference(m, target(m), scale)
             assert den > 0
             assert all(value == (0, 0) for row in rows for value in row)
@@ -249,30 +249,29 @@ class TestIdentitySuites:
     # an anti-Hermitian pair leaves the real part of the form alone
     @pytest.mark.parametrize("mirror", [0, -1], ids=["one-entry", "anti-hermitian"])
     def test_perturbed_boundary_form_is_caught(self, monkeypatch, m, mirror):
-        build_M = forms.build_M
+        boundary_form = exact.boundary_form
 
         def perturbed(order):
-            matrix = build_M(order).copy()
-            matrix[0, -1] += 1
-            matrix[-1, 0] += mirror
-            return matrix
+            rows, den = boundary_form(order)
+            rows[0][-1] = (rows[0][-1][0] + den, rows[0][-1][1])
+            rows[-1][0] = (rows[-1][0][0] + mirror * den, rows[-1][0][1])
+            return rows, den
 
-        monkeypatch.setattr(forms, "build_M", perturbed)
+        monkeypatch.setattr(exact, "boundary_form", perturbed)
         report = verify_boundary_form_identity(m, sample_count=5, seed=21)
         assert report.passed is False
         assert report.max_defect > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_flipped_canonical_sign_is_caught(self, monkeypatch, m):
-        components = contraction.integer_canonical_components
+        components = exact.canonical_components
 
         def flipped(order):
             p_int, q_int, weight_sq = components(order)
-            q_int = q_int.copy()
-            q_int[order - 1] *= -1
+            q_int[order - 1] = {col: (-re, -im) for col, (re, im) in q_int[order - 1].items()}
             return p_int, q_int, weight_sq
 
-        monkeypatch.setattr(contraction, "integer_canonical_components", flipped)
+        monkeypatch.setattr(exact, "canonical_components", flipped)
         report = verify_canonical_identity(m, sample_count=5, seed=21)
         assert report.passed is False
         assert report.max_defect > 0
@@ -281,22 +280,30 @@ class TestIdentitySuites:
     @pytest.mark.parametrize(
         "module, name, suite",
         [
-            (forms, "build_M", verify_boundary_form_identity),
-            (polyoracle, "_canonical_target", verify_canonical_identity),
+            (exact, "boundary_form", verify_boundary_form_identity),
+            (exact, "canonical_target", verify_canonical_identity),
         ],
         ids=["boundary-form", "canonical"],
     )
     def test_mutation_every_sample_misses_is_caught(self, monkeypatch, m, module, name, suite):
         # u* u with u orthogonal to the one drawn vector yh is a nonzero
         # Hermitian form whose value at yh is |yh u*|^2 = 0; 12 yh and so u
-        # are Gaussian integers, so the perturbed target stays exact in binary
+        # are Gaussian integers, so the perturbed target stays exact
         yh = [complex(12 * z) for z in random_boundary_vector(m, seed=21, index=0).components]
         u = np.zeros(2 * m, dtype=np.complex128)
         u[0], u[1] = yh[1].conjugate(), -yh[0].conjugate()
         perturbation = np.outer(u.conj(), u)
         assert perturbation.any() and np.vdot(u, yh) == 0
         build = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda order: build(order) + perturbation)
+
+        def perturbed(order):
+            rows, den = build(order)
+            return [
+                [(re + den * int(z.real), im + den * int(z.imag)) for (re, im), z in zip(row, p_row)]
+                for row, p_row in zip(rows, perturbation)
+            ], den
+
+        monkeypatch.setattr(module, name, perturbed)
         report = suite(m, sample_count=1, seed=21)
         assert report.passed is False
         assert report.max_defect == 0
@@ -406,9 +413,9 @@ class TestSampleDissipativity:
 class TestBareiss:
     @staticmethod
     def assert_matches_rref(system):
-        exact = [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
-        rows, pivots, det = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
-        rref_rows, rref_pivots = polyoracle._rref(exact)
+        rationals = [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+        rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
+        rref_rows, rref_pivots = polyoracle._rref(rationals)
         assert pivots == rref_pivots
         assert [[qc(*value) / qc(*det) for value in row] for row in rows] == rref_rows
 
@@ -422,7 +429,7 @@ class TestBareiss:
     def test_rank_deficient_matches_rref(self, m, rank):
         system = exact_system(np.random.default_rng(80 + m), m, rank=rank)
         self.assert_matches_rref(system)
-        rows, pivots, det = polyoracle._bareiss(polyoracle._integer_rows(system.exact_coeffs))
+        rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
         assert len(pivots) == rank
         # the pivot block is d I: d on each pivot row, 0 in every other row
         assert [[row[col] for col in pivots] for row in rows] == [
@@ -439,22 +446,22 @@ class TestBareiss:
             2, [[complex(float(re), float(im)) for re, im in row] for row in rows], exact=rows
         )
         self.assert_matches_rref(system)
-        integer_rows = polyoracle._integer_rows(system.exact_coeffs)
+        integer_rows = exact._integer_rows(system.exact_coeffs)
         assert integer_rows[0] == [(0, 0), (4, 2), (1, 0), (2, 0)]  # scaled by lcm 2
-        assert polyoracle._bareiss(integer_rows)[0][0][0] != (0, 0)
+        assert exact._bareiss(integer_rows)[0][0][0] != (0, 0)
 
     def test_zero_matrix_has_no_pivots(self):
-        assert polyoracle._bareiss([[(0, 0)] * 3] * 2) == ([[(0, 0)] * 3] * 2, [], (1, 0))
+        assert exact._bareiss([[(0, 0)] * 3] * 2) == ([[(0, 0)] * 3] * 2, [], (1, 0))
 
     def test_exact_quotient(self):
-        assert polyoracle._exact_quotient((6, -4), (2, 0)) == (3, -2)
-        assert polyoracle._exact_quotient((2, 0), (1, 1)) == (1, -1)
-        assert polyoracle._exact_quotient((-5, 10), (1, 2)) == (3, 4)
+        assert exact._exact_quotient((6, -4), (2, 0)) == (3, -2)
+        assert exact._exact_quotient((2, 0), (1, 1)) == (1, -1)
+        assert exact._exact_quotient((-5, 10), (1, 2)) == (3, 4)
 
     @pytest.mark.parametrize("a, b", [((3, 0), (2, 0)), ((0, 7), (-2, 0)), ((1, 0), (1, 1)), ((3, 5), (2, 1))])
     def test_inexact_division_raises(self, a, b):
         with pytest.raises(ArithmeticError):
-            polyoracle._exact_quotient(a, b)
+            exact._exact_quotient(a, b)
 
 
 class TestSampleStream:
