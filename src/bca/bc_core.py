@@ -31,6 +31,10 @@ def _binary_scaled_rows(coeffs: np.ndarray) -> np.ndarray:
     return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
 
 
+def _fraction(part) -> Fraction:
+    return part if type(part) is Fraction else Fraction(part)  # a Fraction is kept, not rebuilt
+
+
 @dataclass(frozen=True)
 class BoundaryConditionSystem:
     """Order ``m`` plus the ``m x 2m`` coefficient matrix ``[A | B]``."""
@@ -54,7 +58,7 @@ class BoundaryConditionSystem:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
-            exact = tuple(tuple((Fraction(re), Fraction(im)) for re, im in row) for row in self.exact)
+            exact = tuple(tuple((_fraction(re), _fraction(im)) for re, im in row) for row in self.exact)
             rounded = [[complex(float(re), float(im)) for re, im in row] for row in exact]
             if rounded != coeffs.tolist():
                 raise BadShape("exact coefficients must round to coeffs")

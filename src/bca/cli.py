@@ -214,14 +214,13 @@ def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:
-    import numpy as np
     from . import contraction
     m = _parse_order(data)
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
     matrix = _rounded(_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows))
-    return contraction.ContractionParametrization(m=m, V=np.array(matrix, dtype=np.complex128))
+    return contraction.ContractionParametrization(m=m, V=matrix)
 
 
 def system_to_conditions(system: bc_core.BoundaryConditionSystem) -> list[dict]:
@@ -312,7 +311,7 @@ class _Subject:
         if not self.diss.dissipative:
             return None
         from . import contraction
-        con = contraction.to_contraction(self.system, self.tol)
+        con = contraction.to_contraction(self.system, self.tol, verdict=self.diss)
         # entries below 1e-12 are flushed for report readability only
         return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]
 

@@ -17,6 +17,7 @@ weight 1/sqrt(2), the unique scaling under which the identity holds
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,37 +72,42 @@ def integer_canonical_components(m: int) -> tuple[np.ndarray, np.ndarray, tuple[
     )
 
 
+@functools.lru_cache(maxsize=32)
 def canonical_maps(m: int) -> CanonicalMaps:
-    """Floating-point canonical maps with the odd-case sqrt(1/2) weights applied."""
+    """Floating-point canonical maps with the odd-case sqrt(1/2) weights
+    applied.  Built once per order and shared, so P and Q are read-only."""
     p_int, q_int, weight_sq = integer_canonical_components(m)
-    weights = np.sqrt(weight_sq)
-    return CanonicalMaps(m=m, P=weights[:, None] * p_int, Q=weights[:, None] * q_int)
+    maps = np.sqrt(weight_sq)[:, None] * np.stack((p_int, q_int))
+    maps.setflags(write=False)  # P and Q are views of it
+    return CanonicalMaps(m=m, P=maps[0], Q=maps[1])
 
 
 def to_contraction(
-    system: BoundaryConditionSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
+    system: BoundaryConditionSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES,
+    verdict: forms.DissipativityVerdict | None = None,
 ) -> ContractionParametrization:
     """Contraction V with ``V(yv + i y^) = yv - i y^`` on the solution space.
 
-    Requires a dissipative system.  With N the null-space basis, V is
-    ``Z_minus pinv(Z_plus)`` for ``Z_pm = (Q +- iP) N``.  ``Z_plus``
+    Requires a dissipative system: ``verdict``, the system's
+    :func:`~bca.forms.dissipativity_verdict` under ``tol``, is computed if
+    not passed.  With N the null-space basis, V is ``Z_minus pinv(Z_plus)``
+    for ``Z_pm = (Q +- iP) N``, from one SVD of ``Z_plus``.  ``Z_plus``
     losing rank despite a dissipative verdict signals a tolerance conflict
     and raises ``RankDeficiency`` rather than being patched over.
     """
-    verdict = forms.dissipativity_verdict(system, tol)
+    if verdict is None:
+        verdict = forms.dissipativity_verdict(system, tol)
     if not verdict.dissipative:
         raise NotDissipative("system is not dissipative; no contraction exists")
     maps = canonical_maps(system.m)
     basis = system.nullspace(tol)
     z_plus = (maps.Q + 1j * maps.P) @ basis
     z_minus = (maps.Q - 1j * maps.P) @ basis
-    if numerics.numerical_rank(z_plus, tol) < system.m:
-        raise RankDeficiency(
-            "forward coordinate map lost rank on a dissipative system"
-        )
-    v_mat = z_minus @ np.linalg.pinv(z_plus, rcond=tol.rank_tol)
+    rank, z_plus_inverse = numerics.rank_and_pinv(z_plus, tol)
+    if rank < system.m:
+        raise RankDeficiency("forward coordinate map lost rank on a dissipative system")
     try:
-        return ContractionParametrization(m=system.m, V=v_mat)
+        return ContractionParametrization(m=system.m, V=z_minus @ z_plus_inverse)
     except NotAContraction as exc:
         # dissipative verdict and norm bound disagree: a tolerance conflict
         raise RankDeficiency(str(exc)) from exc

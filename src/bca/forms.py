@@ -12,6 +12,7 @@ dissipativity shows up as negative semidefiniteness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,10 @@ class DissipativityVerdict:
     gram_eigenvalues: tuple[float, ...]
 
 
+@functools.lru_cache(maxsize=32)
 def build_M(m: int) -> np.ndarray:
     """Read-only 2m x 2m boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``:
-    the closed form :func:`bca.exact.boundary_form` as numpy.
+    the closed form :func:`bca.exact.boundary_form` as numpy, built once per order.
 
     Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``
     (:func:`bca.exact.boundary_block`).  Entries are exact Gaussian
@@ -57,8 +59,7 @@ def gram_on_nullspace(
     """
     validate(system, tol)
     basis = system.nullspace(tol)
-    form = build_M(system.m)
-    gram = basis.T @ form @ np.conj(basis)
+    gram = basis.T @ build_M(system.m) @ np.conj(basis)
     return (gram + gram.conj().T) / 2.0
 
 

@@ -346,9 +346,12 @@ def l0_inner_product(y: RationalComplexPolynomial, m: int) -> RationalComplex:
     return RationalComplex(*_minus_i_power(m)) * product.integral_unit_interval()
 
 
-def _stream_draw(seed: int, tag: str, index: int) -> tuple[int, int]:
-    digest = hashlib.sha256(f"{seed}:{tag}:{index}".encode()).digest()
+def _digest_draw(digest: bytes) -> tuple[int, int]:
     return int.from_bytes(digest[:4], "big") % 19 - 9, digest[4] % 4 + 1
+
+
+def _stream_draw(seed: int, tag: str, index: int) -> tuple[int, int]:
+    return _digest_draw(hashlib.sha256(f"{seed}:{tag}:{index}".encode()).digest())
 
 
 def _stream_fraction(seed: int, tag: str, index: int) -> Fraction:
@@ -374,9 +377,12 @@ STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
     """``STREAM_SCALE * random_rational_complex(seed, tag, j)`` for j < size,
     as Gaussian integers."""
+    prefix = hashlib.sha256(f"{seed}:{tag}:".encode())  # each part's _stream_draw key, less the index
     parts = []
     for index in range(2 * size):
-        numerator, denominator = _stream_draw(seed, tag, index)
+        draw = prefix.copy()
+        draw.update(str(index).encode())
+        numerator, denominator = _digest_draw(draw.digest())
         parts.append(numerator * (STREAM_SCALE // denominator))
     return list(zip(parts[::2], parts[1::2]))
 

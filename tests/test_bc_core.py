@@ -54,6 +54,12 @@ class TestValidate:
         with pytest.raises(BadShape):
             BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[exact[0][:1]])
 
+    def test_exact_fractions_are_kept_and_other_parts_converted(self):
+        part = Fraction(-3, 5)
+        system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[[(1, "0"), (part, Fraction(-4, 5))]])
+        assert system.exact[0][1][0] is part
+        assert [type(value) for pair in system.exact[0] for value in pair] == [Fraction] * 4
+
 
 class TestRowOrder:
     def test_second_derivative_row(self):

@@ -296,6 +296,21 @@ class TestContractionCommands:
         assert report["dissipative"] is False
         assert report["V"] is None
 
+    def test_one_dissipativity_verdict_per_report(self, tmp_path, monkeypatch):
+        from bca import forms
+
+        calls = []
+        verdict = forms.dissipativity_verdict
+        monkeypatch.setattr(forms, "dissipativity_verdict", lambda *args: calls.append(args) or verdict(*args))
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        vfile = tmp_path / "v.json"
+        for argv in (["check", path, "--samples", "2"], ["to-contraction", path], ["from-contraction", str(vfile)]):
+            calls.clear()
+            code, out, _ = run_cli(argv)
+            assert code == 0 and len(calls) == 1, argv
+            if argv[0] == "to-contraction":
+                vfile.write_text(out)
+
     def test_from_contraction_rejects_expansion(self, tmp_path):
         vfile = write_json(tmp_path / "v.json", {"m": 1, "V": [[[2, 0]]]})
         code, _, err = run_cli(["from-contraction", vfile])
@@ -414,8 +429,8 @@ class TestErrorHandling:
         "name, fake, message",
         [
             (
-                "numerical_rank",
-                lambda matrix, tol=None: matrix.shape[0] - 1,
+                "rank_and_pinv",
+                lambda matrix, tol=None: (matrix.shape[0] - 1, np.linalg.pinv(matrix)),
                 "forward coordinate map lost rank on a dissipative system",
             ),
             ("operator_norm", lambda matrix: 2.0, "operator norm 2.0 exceeds 1"),

@@ -3,6 +3,7 @@ import pytest
 
 import helpers
 from bca import (
+    DEFAULT_TOLERANCES,
     canonical_maps,
     contraction_roundtrip_defect,
     dissipativity_verdict,
@@ -43,6 +44,14 @@ class TestCanonicalMaps:
         expected_q[2, 5] = 1j
         assert np.allclose(maps.P, expected_p)
         assert np.allclose(maps.Q, expected_q)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_built_once_per_order_and_read_only(self, m):
+        maps = canonical_maps(m)
+        assert canonical_maps(m) is maps
+        for mat in (maps.P, maps.Q):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 5.0
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_stacked_map_is_well_conditioned(self, m):
@@ -94,6 +103,35 @@ class TestToContraction:
     def test_not_dissipative_rejected(self):
         with pytest.raises(NotDissipative):
             to_contraction(helpers.transport(1, 0))
+
+    def test_passed_verdict_gives_the_same_v(self):
+        rng = np.random.default_rng(47)
+        for m in (1, 2, 3, 6):
+            system = helpers.random_dissipative(rng, m)
+            verdict = dissipativity_verdict(system)
+            assert to_contraction(system, verdict=verdict).V.tobytes() == to_contraction(system).V.tobytes()
+
+    def test_passed_verdict_is_not_recomputed(self, monkeypatch):
+        from bca import forms
+
+        verdict = dissipativity_verdict(helpers.transport(1, 0))
+        monkeypatch.setattr(forms, "dissipativity_verdict", lambda *args: pytest.fail("recomputed"))
+        with pytest.raises(NotDissipative):
+            to_contraction(helpers.transport(1, 0), verdict=verdict)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_v_is_bit_identical_to_the_numpy_pinv_route(self, m):
+        # reference: V as numpy's pinv builds it, from a second SVD of Z_plus
+        rng = np.random.default_rng(100 + m)
+        tol = DEFAULT_TOLERANCES
+        for _ in range(6):
+            system = helpers.recombined(helpers.random_dissipative(rng, m), helpers.random_recombination(rng, m))
+            maps = canonical_maps(m)
+            basis = system.nullspace(tol)
+            z_plus = (maps.Q + 1j * maps.P) @ basis
+            z_minus = (maps.Q - 1j * maps.P) @ basis
+            expected = z_minus @ np.linalg.pinv(z_plus, rcond=tol.rank_tol)
+            assert to_contraction(system, tol).V.tobytes() == expected.tobytes()
 
 
 class TestFromContraction:

@@ -41,6 +41,13 @@ class TestBoundaryFormMatrix:
         assert np.allclose(eigenvalues[:m], -1.0, atol=1e-12)
         assert np.allclose(eigenvalues[m:], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_built_once_per_order_and_read_only(self, m):
+        form = build_M(m)
+        assert build_M(m) is form
+        with pytest.raises(ValueError):
+            form[0, 0] = 5.0
+
 
 class TestGramOnNullspace:
     def test_m1_right_end(self):

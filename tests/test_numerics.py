@@ -8,7 +8,9 @@ from bca.numerics import (
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
+    numerical_rank,
     operator_norm,
+    rank_and_pinv,
     row_span_basis,
     subspace_distance,
 )
@@ -164,3 +166,17 @@ class TestOperatorNorm:
             assert operator_norm(c * mat) == pytest.approx(
                 abs(c) * operator_norm(mat), rel=1e-12, abs=1e-12
             )
+
+
+class TestRankAndPinv:
+    @pytest.mark.parametrize("rank", [1, 2, 4], ids=["rank-1", "rank-2", "full"])
+    def test_matches_numerical_rank_and_numpy_pinv(self, rank):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            left = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            right = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+            mat = left @ right
+            found, inverse = rank_and_pinv(mat)
+            assert found == numerical_rank(mat) == rank
+            expected = np.linalg.pinv(mat, rcond=DEFAULT_TOLERANCES.rank_tol)
+            assert inverse.tobytes() == expected.tobytes()

@@ -467,10 +467,19 @@ class TestBareiss:
 class TestSampleStream:
     @staticmethod
     def count_draws(monkeypatch):
+        # the digest of every part hashed, by _stream_draw or _scaled_draws
         calls = []
-        draw = polyoracle._stream_draw
-        monkeypatch.setattr(polyoracle, "_stream_draw", lambda *key: calls.append(key) or draw(*key))
+        draw = polyoracle._digest_draw
+        monkeypatch.setattr(polyoracle, "_digest_draw", lambda digest: calls.append(digest) or draw(digest))
         return calls
+
+    @pytest.mark.parametrize("seed, tag, size", [(0, "bv0", 1), (7, "bv12", 8), (1001, "ns3", 5), (-4, "x", 16)])
+    def test_scaled_draws_equal_the_stream_draws(self, seed, tag, size):
+        parts = [
+            numerator * (polyoracle.STREAM_SCALE // denominator)
+            for numerator, denominator in (polyoracle._stream_draw(seed, tag, index) for index in range(2 * size))
+        ]
+        assert polyoracle._scaled_draws(seed, tag, size) == list(zip(parts[::2], parts[1::2]))
 
     def test_boundary_draws_equal_the_reference_stream(self):
         draws = polyoracle.boundary_draws(3, 4, seed=7)
