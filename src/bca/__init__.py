@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bc_core": (
         "BoundaryConditionSystem", "NormalizedSystem", "StructuralReport", "normalize", "orders_multiset",
-        "rank_profile_orders", "row_order", "structural_report", "truncate_leading", "validate",
+        "rank_profile_orders", "structural_report", "truncate_leading", "validate",
     ),
     "contraction": (
         "CanonicalMaps", "ContractionParametrization", "canonical_maps", "contraction_roundtrip_defect",

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .errors import BadShape, DependentRows, OddOrderUnsupported, ZeroRow
+from .errors import BadShape, DependentRows, OddOrderUnsupported
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
@@ -129,25 +129,6 @@ def validate(
     rank = numerics.svd_rank(system._svd[0], tol)
     if rank < system.m:
         raise DependentRows(f"rows have numerical rank {rank} < {system.m}")
-
-
-def row_order(row, zero_tol: float = DEFAULT_TOLERANCES.zero_tol) -> int:
-    """Largest derivative index k whose coefficient pair is nonzero.
-
-    The zero test is relative to the row's own largest entry, so row
-    scaling never changes the order.
-    """
-    vec = np.asarray(row, dtype=np.complex128).ravel()
-    if vec.size % 2 != 0 or vec.size == 0:
-        raise BadShape(f"row length must be even and positive, got {vec.size}")
-    m = vec.size // 2
-    top = float(np.abs(vec).max())
-    if top == 0.0:
-        raise ZeroRow("all coefficients vanish")
-    for k in range(m - 1, -1, -1):
-        if max(abs(vec[k]), abs(vec[m + k])) > zero_tol * top:
-            return k
-    raise ZeroRow("all coefficients below zero tolerance")
 
 
 def normalize(

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import __version__, polyoracle
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NotAContraction, NumericalFailure
 from .tolerances import TolerancePolicy
 
 if TYPE_CHECKING:
@@ -220,7 +220,10 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
     matrix = _rounded(_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows))
-    return contraction.ContractionParametrization(m=m, V=matrix)
+    try:
+        return contraction.ContractionParametrization(m=m, V=matrix)
+    except NotAContraction as exc:
+        raise FileFormatError(f"V: {exc}") from exc
 
 
 def system_to_conditions(system: bc_core.BoundaryConditionSystem) -> list[dict]:

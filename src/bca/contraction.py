@@ -56,28 +56,14 @@ class ContractionParametrization:
         object.__setattr__(self, "V", mat)
 
 
-def integer_canonical_components(m: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Gaussian-integer map rows plus squared row weights: the closed form
-    :func:`bca.exact.canonical_components` as numpy.
-
-    The actual maps are ``P = diag(w) P_int`` and ``Q = diag(w) Q_int``
-    with ``w = sqrt(weight_sq)``; every entry of the returned matrices is
-    one of 0, +-1, +-i, and every weight (1/2 or 1) is a binary float.
-    """
-    p_int, q_int, weight_sq = exact.canonical_components(m)
-    return (
-        numerics.gaussian_matrix(p_int, 2 * m),
-        numerics.gaussian_matrix(q_int, 2 * m),
-        tuple(map(float, weight_sq)),
-    )
-
-
 @functools.lru_cache(maxsize=32)
 def canonical_maps(m: int) -> CanonicalMaps:
-    """Floating-point canonical maps with the odd-case sqrt(1/2) weights
-    applied.  Built once per order and shared, so P and Q are read-only."""
-    p_int, q_int, weight_sq = integer_canonical_components(m)
-    maps = np.sqrt(weight_sq)[:, None] * np.stack((p_int, q_int))
+    """The closed form :func:`bca.exact.canonical_components` in floating
+    point, with the odd-case sqrt(1/2) weights applied.  Built once per
+    order and shared, so P and Q are read-only."""
+    p_rows, q_rows, weight_sq = exact.canonical_components(m)
+    weights = np.sqrt(np.array(weight_sq, dtype=float))[:, None]
+    maps = weights * np.stack([numerics.gaussian_matrix(rows, 2 * m) for rows in (p_rows, q_rows)])
     maps.setflags(write=False)  # P and Q are views of it
     return CanonicalMaps(m=m, P=maps[0], Q=maps[1])
 

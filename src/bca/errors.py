@@ -27,10 +27,6 @@ class NonHermitianInput(InvalidInput):
     pass
 
 
-class ZeroRow(InvalidInput):
-    pass
-
-
 class DependentRows(InvalidInput):
     pass
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -350,41 +351,34 @@ def _digest_draw(digest: bytes) -> tuple[int, int]:
     return int.from_bytes(digest[:4], "big") % 19 - 9, digest[4] % 4 + 1
 
 
-def _stream_draw(seed: int, tag: str, index: int) -> tuple[int, int]:
-    return _digest_draw(hashlib.sha256(f"{seed}:{tag}:{index}".encode()).digest())
+STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 
 
-def _stream_fraction(seed: int, tag: str, index: int) -> Fraction:
-    return Fraction(*_stream_draw(seed, tag, index))
+def _scaled_draws(seed: int, tag: str, indices) -> Iterator[Gaussian]:
+    """Yield draw j of the stream for each j of ``indices``: a small
+    rational complex value times ``STREAM_SCALE``, as a Gaussian integer.
+    Part p of the stream comes from the SHA-256 digest of ``seed:tag:p``;
+    draw j is parts 2j (real) and 2j + 1 (imaginary)."""
+    prefix = hashlib.sha256(f"{seed}:{tag}:".encode())  # each part's key, less the part
+    for index in indices:
+        pair = []
+        for part in (2 * index, 2 * index + 1):
+            draw = prefix.copy()
+            draw.update(str(part).encode())
+            numerator, denominator = _digest_draw(draw.digest())
+            pair.append(numerator * (STREAM_SCALE // denominator))
+        yield tuple(pair)
 
 
 def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
     """Deterministic small rational complex value (counter-based stream)."""
-    return RationalComplex(
-        _stream_fraction(seed, tag, 2 * index),
-        _stream_fraction(seed, tag, 2 * index + 1),
-    )
+    [(re, im)] = _scaled_draws(seed, tag, (index,))
+    return RationalComplex(Fraction(re, STREAM_SCALE), Fraction(im, STREAM_SCALE))
 
 
 def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
     components = tuple(random_rational_complex(seed, f"bv{index}", j) for j in range(2 * m))
     return BoundaryVector(m=m, components=components)
-
-
-STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
-
-
-def _scaled_draws(seed: int, tag: str, size: int) -> list[Gaussian]:
-    """``STREAM_SCALE * random_rational_complex(seed, tag, j)`` for j < size,
-    as Gaussian integers."""
-    prefix = hashlib.sha256(f"{seed}:{tag}:".encode())  # each part's _stream_draw key, less the index
-    parts = []
-    for index in range(2 * size):
-        draw = prefix.copy()
-        draw.update(str(index).encode())
-        numerator, denominator = _digest_draw(draw.digest())
-        parts.append(numerator * (STREAM_SCALE // denominator))
-    return list(zip(parts[::2], parts[1::2]))
 
 
 @functools.cache
@@ -409,10 +403,11 @@ def _check_sample_count(sample_count: int) -> None:
         raise ValueError("sample_count must be >= 1")
 
 
-def _form_samples(rows, vectors) -> list[Gaussian]:
-    """``v R v*`` of a Gaussian-integer form R at each scaled draw v: the
-    sampled form values times ``STREAM_SCALE ** 2`` and R's denominator."""
-    return [_gaussian_dot(_gaussian_vecmat(v, rows), v) for v in vectors]
+def _form_samples(rows, vectors) -> Iterator[Gaussian]:
+    """Yield ``v R v*`` of a Gaussian-integer form R at each scaled draw v:
+    the sampled form values times ``STREAM_SCALE ** 2`` and R's denominator."""
+    for v in vectors:
+        yield _gaussian_dot(_gaussian_vecmat(v, rows), v)
 
 
 def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[GaussianRows, int]:
@@ -439,7 +434,7 @@ def boundary_draws(m: int, sample_count: int, seed: int) -> list[list[Gaussian]]
     sample_count, as Gaussian integers.  A caller that runs both suites
     draws them once and passes them to each as ``draws``."""
     _check_identity_args(m, sample_count)
-    return [_scaled_draws(seed, f"bv{index}", 2 * m) for index in range(sample_count)]
+    return [list(_scaled_draws(seed, f"bv{index}", range(2 * m))) for index in range(sample_count)]
 
 
 def _identity_report(m: int, sample_count: int, seed: int, target, scale: int, draws) -> IdentityReport:
@@ -534,7 +529,7 @@ def sample_dissipativity(
         basis.append(vec)
     form, den = _integer_imaginary_form(m)
     restricted = [[_gaussian_dot(left, row) for row in basis] for left in (_gaussian_vecmat(r, form) for r in basis)]
-    weights = [_scaled_draws(seed, f"ns{index}", m) for index in range(sample_count)]
+    weights = (list(_scaled_draws(seed, f"ns{index}", range(m))) for index in range(sample_count))
     least = min(re for re, _ in _form_samples(restricted, weights))
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(

@@ -99,17 +99,6 @@ def _determinant(a_alpha: np.ndarray, a_beta: np.ndarray, *middle: np.ndarray) -
     return complex(np.linalg.det(matrix))
 
 
-def boundary_determinant(norm: NormalizedSystem, s: complex) -> complex:
-    """Evaluate the characteristic boundary determinant at s (s != 0).
-
-    Column mu holds ``(alpha + s beta) omega^k``; for even order column
-    mu + 1 holds ``(alpha + beta / s) omega^k``.
-    """
-    a, b = _column_matrices(norm)
-    middle = (a + s * b,) if norm.base.m % 2 == 1 else (a + s * b, a + b / s)
-    return _determinant(a, b, *middle)
-
-
 def regularity_verdict(
     norm: NormalizedSystem, tol: TolerancePolicy = DEFAULT_TOLERANCES
 ) -> RegularityReport:

@@ -313,9 +313,9 @@ class TestContractionCommands:
 
     def test_from_contraction_rejects_expansion(self, tmp_path):
         vfile = write_json(tmp_path / "v.json", {"m": 1, "V": [[[2, 0]]]})
-        code, _, err = run_cli(["from-contraction", vfile])
-        assert code == 2
-        assert "norm" in err
+        code, out, err = run_cli(["from-contraction", vfile])
+        assert code == 2 and out == ""
+        assert err == "error: V: operator norm 2.0 exceeds 1\n"
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from bca import (
     subspace_distance,
     to_contraction,
 )
-from bca.contraction import ContractionParametrization, integer_canonical_components
+from bca import exact, numerics
+from bca.contraction import ContractionParametrization
 from bca.errors import NotAContraction, NotDissipative
 
 R2 = 1 / np.sqrt(2)
@@ -53,24 +56,29 @@ class TestCanonicalMaps:
             with pytest.raises(ValueError):
                 mat[0, 0] = 5.0
 
+    @staticmethod
+    def integer_components(m):
+        p_rows, q_rows, weight_sq = exact.canonical_components(m)
+        return numerics.gaussian_matrix(p_rows, 2 * m), numerics.gaussian_matrix(q_rows, 2 * m), weight_sq
+
     @pytest.mark.parametrize("m", range(1, 17))
     def test_stacked_map_is_well_conditioned(self, m):
         # P P* = Q Q* = I and P Q* = 0, checked on the integer parts, whose
         # entries 0, +-1 and +-i make these products exact in floats
-        p_int, q_int, weight_sq = integer_canonical_components(m)
-        inverse_weights = np.diag([1 / w for w in weight_sq])
+        p_int, q_int, weight_sq = self.integer_components(m)
+        inverse_weights = np.diag([float(1 / w) for w in weight_sq])
         assert np.array_equal(p_int @ p_int.conj().T, inverse_weights)
         assert np.array_equal(q_int @ q_int.conj().T, inverse_weights)
         assert np.array_equal(p_int @ q_int.conj().T, np.zeros((m, m)))
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_integer_components_are_gaussian_integers(self, m):
-        p_int, q_int, weight_sq = integer_canonical_components(m)
+        p_int, q_int, weight_sq = self.integer_components(m)
         for mat in (p_int, q_int):
             assert np.array_equal(mat.real, np.round(mat.real))
             assert np.array_equal(mat.imag, np.round(mat.imag))
         # 1/2 on the odd middle row (row 0), 1 on every other row
-        assert weight_sq == (0.5,) * (m % 2) + (1.0,) * (m - m % 2)
+        assert weight_sq == (Fraction(1, 2),) * (m % 2) + (Fraction(1),) * (m - m % 2)
 
 
 class TestContractionParametrization:

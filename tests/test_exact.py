@@ -67,9 +67,9 @@ def test_closed_forms_equal_the_numpy_builders(orders):
         assert np.array_equal(numerics.gaussian_matrix(p_exact, 2 * m), p_ref)
         assert np.array_equal(numerics.gaussian_matrix(q_exact, 2 * m), q_ref)
         assert weight_sq == weights_ref
-        p_int, q_int, weights = contraction.integer_canonical_components(m)
-        assert p_int.dtype == q_int.dtype == np.complex128
-        assert np.array_equal(p_int, p_ref) and np.array_equal(q_int, q_ref) and weights == weights_ref
+        maps = contraction.canonical_maps(m)
+        weights = np.sqrt(weights_ref)[:, None]
+        assert np.array_equal(maps.P, weights * p_ref) and np.array_equal(maps.Q, weights * q_ref)
 
         assert equal_as_gaussian_rows(exact.canonical_target(m), numpy_canonical_target(m))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestGram:
             expected = l0_inner_product(hermite_interpolant(m, target), m)
             value = form_value(gram, target.components) * Fraction(1, gram_den)
             assert MINUS_I_POWERS[m % 4] * value == expected
-            scaled = polyoracle._scaled_draws(31, f"bv{index}", 2 * m)
+            scaled = list(polyoracle._scaled_draws(31, f"bv{index}", range(2 * m)))
             assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
             re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
             assert (Fraction(re, 144 * den), im) == (expected.im, 0)
@@ -404,6 +405,20 @@ class TestSampleDissipativity:
         sample_dissipativity(helpers.dirichlet_m2(), 1, seed=0)
         assert calls == ["bareiss", "form"]
 
+    def test_keeps_no_samples(self):
+        # each weight vector is drawn, evaluated and dropped before the next,
+        # so memory does not grow with the sample count (a list of 3000
+        # samples alone takes about 1 MB)
+        system = helpers.dirichlet_m2()
+        sample_dissipativity(system, 1, seed=0)  # builds the cached form first
+        tracemalloc.start()
+        try:
+            sample_dissipativity(system, 3000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_degenerate_rows_rejected(self):
         system = BoundaryConditionSystem(2, [[1, 0, 0, 0], [1, 0, 0, 0]])
         with pytest.raises(DegenerateSystem):
@@ -467,19 +482,35 @@ class TestBareiss:
 class TestSampleStream:
     @staticmethod
     def count_draws(monkeypatch):
-        # the digest of every part hashed, by _stream_draw or _scaled_draws
+        # the digest of every part hashed
         calls = []
         draw = polyoracle._digest_draw
         monkeypatch.setattr(polyoracle, "_digest_draw", lambda digest: calls.append(digest) or draw(digest))
         return calls
 
-    @pytest.mark.parametrize("seed, tag, size", [(0, "bv0", 1), (7, "bv12", 8), (1001, "ns3", 5), (-4, "x", 16)])
-    def test_scaled_draws_equal_the_stream_draws(self, seed, tag, size):
-        parts = [
-            numerator * (polyoracle.STREAM_SCALE // denominator)
-            for numerator, denominator in (polyoracle._stream_draw(seed, tag, index) for index in range(2 * size))
-        ]
-        assert polyoracle._scaled_draws(seed, tag, size) == list(zip(parts[::2], parts[1::2]))
+    # the stream, pinned by value: _scaled_draws(seed, tag, range(size)) and
+    # random_rational_complex(seed, tag, size - 1)
+    STREAM = [
+        (0, "bv0", [(-24, 108)], (-2, 9)),
+        (7, "bv12", [(-20, 24), (24, 36), (0, 72), (96, -12), (-18, -6), (54, 8), (84, -28), (72, 0)], (6, 0)),
+        (1001, "ns3", [(-28, 0), (0, 72), (-48, -12), (12, -28), (84, -16)], (7, Fraction(-4, 3))),
+        (
+            -4,
+            "x",
+            [(-12, 12), (28, 30), (-108, -4), (-36, -72), (-12, -84), (-27, -3), (12, 12), (8, 8),
+             (28, 24), (-32, 24), (-8, 12), (-24, 18), (-48, 20), (-24, 9), (24, -9), (36, -6)],
+            (3, Fraction(-1, 2)),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "seed, tag, draws, last", STREAM, ids=[f"{seed}-{tag}-{len(draws)}" for seed, tag, draws, _ in STREAM]
+    )
+    def test_scaled_draws_equal_the_stream_draws(self, seed, tag, draws, last):
+        size = len(draws)
+        assert list(polyoracle._scaled_draws(seed, tag, range(size))) == draws
+        assert list(polyoracle._scaled_draws(seed, tag, (size - 1, 0))) == [draws[-1], draws[0]]
+        assert polyoracle.random_rational_complex(seed, tag, size - 1) == qc(*last)
 
     def test_boundary_draws_equal_the_reference_stream(self):
         draws = polyoracle.boundary_draws(3, 4, seed=7)

@@ -12,9 +12,30 @@ from bca import (
     regularity_verdict,
 )
 from bca.errors import NotNormalized
-from bca.regularity import boundary_determinant
 
 SQRT3 = 3**0.5
+
+
+def characteristic_determinant(norm, s):
+    """The boundary determinant at s (s != 0), entry by entry: row j,
+    column c (1-based) is ``w omega_c^k_j``, with w read off below."""
+    m = norm.base.m
+    mu = (m + 1) // 2
+
+    def weight(alpha, beta, column):
+        if column < mu:
+            return alpha
+        if column == mu:
+            return alpha + s * beta
+        if column == mu + 1 and m % 2 == 0:
+            return alpha + beta / s
+        return beta
+
+    matrix = [
+        [weight(alpha, beta, c) * omega**k for c, omega in enumerate(ordered_roots(m), 1)]
+        for (alpha, beta), k in zip(norm.leading, norm.orders)
+    ]
+    return complex(np.linalg.det(np.array(matrix)))
 
 
 class TestOrderedRoots:
@@ -97,7 +118,7 @@ class TestThetaCoefficients:
                     predicted = report.theta_0 + s * report.theta_1
                     if report.theta_minus1 is not None:
                         predicted += report.theta_minus1 / s
-                    actual = boundary_determinant(norm, s)
+                    actual = characteristic_determinant(norm, s)
                     assert abs(actual - predicted) <= 1e-12 * abs(s) * report.scale, (m, s)
 
     @pytest.mark.parametrize(
