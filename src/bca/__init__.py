@@ -32,7 +32,7 @@ _EXPORTS = {
     "polyoracle": (
         "BoundaryVector", "RationalComplex", "RationalComplexPolynomial", "boundary_vector_of",
         "hermite_interpolant", "l0_inner_product", "sample_dissipativity", "verify_boundary_form_identity",
-        "verify_canonical_identity",
+        "verify_canonical_identity", "verify_identities",
     ),
     "regularity": ("RegularityReport", "ordered_roots", "regularity_verdict"),
     "tolerances": ("DEFAULT_TOLERANCES", "TolerancePolicy"),

@@ -360,9 +360,7 @@ def _oracle_section(s: _Subject) -> dict:
 
 def _identities_section(s: _Subject) -> dict:
     m, samples, seed = s.args.m, s.args.samples, s.args.seed
-    draws = polyoracle.boundary_draws(m, samples, seed)  # both suites sample these vectors
-    boundary = polyoracle.verify_boundary_form_identity(m, samples, seed, draws=draws)
-    canonical = polyoracle.verify_canonical_identity(m, samples, seed, draws=draws)
+    boundary, canonical = polyoracle.verify_identities(m, samples, seed)
     return {
         "boundary_form": {"passed": boundary.passed, "max_defect": boundary.max_defect},
         "canonical_coordinates": {"passed": canonical.passed, "max_defect": canonical.max_defect},

@@ -29,15 +29,16 @@ every boundary vector: that is the certificate a suite reports as
 boundary vectors.  The dissipativity spot-check scales each condition row
 to Gaussian integers and eliminates by Bareiss's fraction-free
 Gauss-Jordan method, whose every division is exact and checked; the
-result is the RREF null-space basis times one Gaussian integer.  All
-three share one sampling loop.  RationalComplex and ``_rref`` serve only
-the reference route.  Nothing here imports numpy.
+result is the RREF null-space basis times one Gaussian integer.  Every
+sampling loop draws one vector at a time, evaluates it and drops it, so
+memory does not grow with the sample count.  RationalComplex and
+``_rref`` serve only the reference route.  Nothing here imports numpy.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
 reproducible across platforms.  Both identity suites sample the same
-boundary vectors; a caller that runs both draws them once with
-:func:`boundary_draws` and passes them to each suite.
+boundary vectors; :func:`verify_identities` runs both in one loop that
+draws each vector once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -354,20 +354,20 @@ def _digest_draw(digest: bytes) -> tuple[int, int]:
 STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
 
 
-def _scaled_draws(seed: int, tag: str, indices) -> Iterator[Gaussian]:
-    """Yield draw j of the stream for each j of ``indices``: a small
-    rational complex value times ``STREAM_SCALE``, as a Gaussian integer.
-    Part p of the stream comes from the SHA-256 digest of ``seed:tag:p``;
-    draw j is parts 2j (real) and 2j + 1 (imaginary)."""
+def _scaled_draws(seed: int, tag: str, indices) -> list[Gaussian]:
+    """Draw j of the stream for each j of ``indices``: a small rational
+    complex value times ``STREAM_SCALE``, as a Gaussian integer.  Part p of
+    the stream comes from the SHA-256 digest of ``seed:tag:p``; draw j is
+    parts 2j (real) and 2j + 1 (imaginary)."""
     prefix = hashlib.sha256(f"{seed}:{tag}:".encode())  # each part's key, less the part
+    parts = []
     for index in indices:
-        pair = []
         for part in (2 * index, 2 * index + 1):
             draw = prefix.copy()
             draw.update(str(part).encode())
             numerator, denominator = _digest_draw(draw.digest())
-            pair.append(numerator * (STREAM_SCALE // denominator))
-        yield tuple(pair)
+            parts.append(numerator * (STREAM_SCALE // denominator))
+    return list(zip(parts[::2], parts[1::2]))
 
 
 def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
@@ -403,13 +403,6 @@ def _check_sample_count(sample_count: int) -> None:
         raise ValueError("sample_count must be >= 1")
 
 
-def _form_samples(rows, vectors) -> Iterator[Gaussian]:
-    """Yield ``v R v*`` of a Gaussian-integer form R at each scaled draw v:
-    the sampled form values times ``STREAM_SCALE ** 2`` and R's denominator."""
-    for v in vectors:
-        yield _gaussian_dot(_gaussian_vecmat(v, rows), v)
-
-
 def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[GaussianRows, int]:
     """``target - scale F`` over one denominator, for a 2m x 2m target
     given as Gaussian-integer rows over their denominator."""
@@ -422,64 +415,65 @@ def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[G
     ], t_den * f_den
 
 
-def _check_identity_args(m: int, sample_count: int) -> None:
+def _identity_reports(m: int, sample_count: int, seed: int, *suites) -> list[IdentityReport]:
+    """One report per suite ``(target, scale)``, certifying the identity
+    ``yh target(m) yh* = scale Im(L0 y, y)`` for every boundary vector yh:
+    ``passed`` says that the Hermitian form ``D = target(m) - scale F`` is
+    the zero matrix, so a nonzero D fails even when every sample misses it.
+    ``max_defect`` is the largest ``|Re q| + |Im q|`` of ``q = yh D yh*``
+    over the sampled rational boundary vectors
+    ``random_boundary_vector(m, seed, index)``, index < sample_count.  Each
+    vector is drawn once, evaluated on every D and dropped before the
+    next."""
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
+    differences = [_difference(m, target(m), scale) for target, scale in suites]
+    worst = [0] * len(differences)
+    for index in range(sample_count):
+        v = _scaled_draws(seed, f"bv{index}", range(2 * m))
+        for k, (rows, _) in enumerate(differences):
+            re, im = _gaussian_dot(_gaussian_vecmat(v, rows), v)
+            worst[k] = max(worst[k], abs(re) + abs(im))
+    return [
+        IdentityReport(
+            passed=not any(re or im for row in rows for re, im in row),
+            max_defect=Fraction(defect, STREAM_SCALE**2 * den),
+            samples=sample_count,
+        )
+        for (rows, den), defect in zip(differences, worst)
+    ]
 
 
-def boundary_draws(m: int, sample_count: int, seed: int) -> list[list[Gaussian]]:
-    """The boundary vectors both identity suites sample:
-    ``STREAM_SCALE * random_boundary_vector(m, seed, index)`` for index <
-    sample_count, as Gaussian integers.  A caller that runs both suites
-    draws them once and passes them to each as ``draws``."""
-    _check_identity_args(m, sample_count)
-    return [list(_scaled_draws(seed, f"bv{index}", range(2 * m))) for index in range(sample_count)]
-
-
-def _identity_report(m: int, sample_count: int, seed: int, target, scale: int, draws) -> IdentityReport:
-    """Certificate of the identity ``yh target(m) yh* = scale Im(L0 y, y)``
-    for every boundary vector yh: ``passed`` says that the Hermitian form
-    ``D = target(m) - scale F`` is the zero matrix, so a nonzero D fails
-    even when every sample misses it.  ``max_defect`` is the largest
-    ``|Re q| + |Im q|`` of ``q = yh D yh*`` over sampled rational boundary
-    vectors yh: ``draws``, or those of :func:`boundary_draws` if it is
-    None."""
-    if draws is None:
-        draws = boundary_draws(m, sample_count, seed)
-    else:
-        _check_identity_args(m, sample_count)
-        if [len(v) for v in draws] != [2 * m] * sample_count:
-            raise ValueError("draws must be boundary_draws(m, sample_count, seed)")
-    rows, den = _difference(m, target(m), scale)
-    worst = max(abs(re) + abs(im) for re, im in _form_samples(rows, draws))
-    return IdentityReport(
-        passed=not any(re or im for row in rows for re, im in row),
-        max_defect=Fraction(worst, STREAM_SCALE**2 * den),
-        samples=sample_count,
-    )
-
-
-def verify_boundary_form_identity(
-    m: int, sample_count: int, seed: int, *, draws=None
-) -> IdentityReport:
+def verify_boundary_form_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``2 Im(L0 y, y) = yh M yh*`` exactly, as the matrix equation
     ``M - 2F = 0``.
 
     ``Im(L0 y, y)`` of the Hermite interpolant y of a boundary vector yh
     is the exact Gram form ``yh F yh*``.  The reported defect is the
     largest ``|2 Im(L0 y, y) - Re rhs| + |Im rhs|``, with
-    ``rhs = yh M yh*``, over drawn small rational boundary vectors yh
-    (``draws``, if given, must be ``boundary_draws(m, sample_count, seed)``).
+    ``rhs = yh M yh*``, over drawn small rational boundary vectors yh.
     """
-    return _identity_report(m, sample_count, seed, exact.boundary_form, 2, draws)
+    [report] = _identity_reports(m, sample_count, seed, (exact.boundary_form, 2))
+    return report
 
 
-def verify_canonical_identity(m: int, sample_count: int, seed: int, *, draws=None) -> IdentityReport:
+def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly, as the matrix equation
     ``(S - S*)/2i - F = 0``; the defect is sampled as in
     :func:`verify_boundary_form_identity`."""
-    return _identity_report(m, sample_count, seed, exact.canonical_target, 1, draws)
+    [report] = _identity_reports(m, sample_count, seed, (exact.canonical_target, 1))
+    return report
+
+
+def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityReport, IdentityReport]:
+    """``(verify_boundary_form_identity(m, sample_count, seed),
+    verify_canonical_identity(m, sample_count, seed))``, with each boundary
+    vector drawn once for both."""
+    boundary, canonical = _identity_reports(
+        m, sample_count, seed, (exact.boundary_form, 2), (exact.canonical_target, 1)
+    )
+    return boundary, canonical
 
 
 def rational_nullspace(
@@ -529,8 +523,8 @@ def sample_dissipativity(
         basis.append(vec)
     form, den = _integer_imaginary_form(m)
     restricted = [[_gaussian_dot(left, row) for row in basis] for left in (_gaussian_vecmat(r, form) for r in basis)]
-    weights = (list(_scaled_draws(seed, f"ns{index}", range(m))) for index in range(sample_count))
-    least = min(re for re, _ in _form_samples(restricted, weights))
+    weights = (_scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
+    least = min(_gaussian_dot(_gaussian_vecmat(w, restricted), w)[0] for w in weights)
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count

@@ -228,6 +228,32 @@ class TestGram:
             assert all(value == (0, 0) for row in rows for value in row)
 
 
+def perturb_boundary_form(monkeypatch, mirror):
+    """Add 1 to entry (0, 2m-1) of ``exact.boundary_form`` and ``mirror``
+    to entry (2m-1, 0)."""
+    boundary_form = exact.boundary_form
+
+    def perturbed(order):
+        rows, den = boundary_form(order)
+        rows[0][-1] = (rows[0][-1][0] + den, rows[0][-1][1])
+        rows[-1][0] = (rows[-1][0][0] + mirror * den, rows[-1][0][1])
+        return rows, den
+
+    monkeypatch.setattr(exact, "boundary_form", perturbed)
+
+
+def flip_canonical_sign(monkeypatch):
+    """Negate the last row of Q in ``exact.canonical_components``."""
+    components = exact.canonical_components
+
+    def flipped(order):
+        p_int, q_int, weight_sq = components(order)
+        q_int[order - 1] = {col: (-re, -im) for col, (re, im) in q_int[order - 1].items()}
+        return p_int, q_int, weight_sq
+
+    monkeypatch.setattr(exact, "canonical_components", flipped)
+
+
 class TestIdentitySuites:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_boundary_form_identity_exact(self, m):
@@ -250,32 +276,33 @@ class TestIdentitySuites:
     # an anti-Hermitian pair leaves the real part of the form alone
     @pytest.mark.parametrize("mirror", [0, -1], ids=["one-entry", "anti-hermitian"])
     def test_perturbed_boundary_form_is_caught(self, monkeypatch, m, mirror):
-        boundary_form = exact.boundary_form
-
-        def perturbed(order):
-            rows, den = boundary_form(order)
-            rows[0][-1] = (rows[0][-1][0] + den, rows[0][-1][1])
-            rows[-1][0] = (rows[-1][0][0] + mirror * den, rows[-1][0][1])
-            return rows, den
-
-        monkeypatch.setattr(exact, "boundary_form", perturbed)
+        perturb_boundary_form(monkeypatch, mirror)
         report = verify_boundary_form_identity(m, sample_count=5, seed=21)
         assert report.passed is False
         assert report.max_defect > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_flipped_canonical_sign_is_caught(self, monkeypatch, m):
-        components = exact.canonical_components
-
-        def flipped(order):
-            p_int, q_int, weight_sq = components(order)
-            q_int[order - 1] = {col: (-re, -im) for col, (re, im) in q_int[order - 1].items()}
-            return p_int, q_int, weight_sq
-
-        monkeypatch.setattr(exact, "canonical_components", flipped)
+        flip_canonical_sign(monkeypatch)
         report = verify_canonical_identity(m, sample_count=5, seed=21)
         assert report.passed is False
         assert report.max_defect > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "mutate, failing",
+        [(lambda patch: perturb_boundary_form(patch, 0), 0), (flip_canonical_sign, 1)],
+        ids=["boundary-form", "canonical"],
+    )
+    def test_shared_loop_keeps_the_suites_apart(self, monkeypatch, m, mutate, failing):
+        # a mutation of one target fails that suite's report only
+        mutate(monkeypatch)
+        reports = polyoracle.verify_identities(m, sample_count=5, seed=21)
+        for index, report in enumerate(reports):
+            if index == failing:
+                assert report.passed is False and report.max_defect > 0
+            else:
+                assert report.passed is True and report.max_defect == 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     @pytest.mark.parametrize(
@@ -512,11 +539,23 @@ class TestSampleStream:
         assert list(polyoracle._scaled_draws(seed, tag, (size - 1, 0))) == [draws[-1], draws[0]]
         assert polyoracle.random_rational_complex(seed, tag, size - 1) == qc(*last)
 
-    def test_boundary_draws_equal_the_reference_stream(self):
-        draws = polyoracle.boundary_draws(3, 4, seed=7)
-        assert [[qc(*z) for z in v] for v in draws] == [
-            [12 * z for z in random_boundary_vector(3, seed=7, index=index).components] for index in range(4)
-        ]
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    @pytest.mark.parametrize("entry", [0, -1], ids=["first", "last"])
+    def test_suites_sample_the_reference_stream(self, monkeypatch, entry, m):
+        # with 1 added to a diagonal entry j of M, D is the unit matrix E_jj,
+        # so each sample's defect is |yh_j|^2 of its boundary vector yh; at
+        # j = 0 the largest of the 6 samples is not the last one drawn
+        boundary_form = exact.boundary_form
+
+        def unit_defect(order):
+            rows, den = boundary_form(order)
+            rows[entry][entry] = (rows[entry][entry][0] + den, rows[entry][entry][1])
+            return rows, den
+
+        monkeypatch.setattr(exact, "boundary_form", unit_defect)
+        assert verify_boundary_form_identity(m, 6, seed=7).max_defect == max(
+            random_boundary_vector(m, seed=7, index=index).components[entry].abs_squared() for index in range(6)
+        )
 
     def test_verify_hashes_each_vector_once(self, monkeypatch, capsys):
         calls = self.count_draws(monkeypatch)
@@ -527,17 +566,28 @@ class TestSampleStream:
         assert len(set(calls)) == len(calls)
         assert capsys.readouterr().out
 
-    @pytest.mark.parametrize("m", [1, 4])
-    def test_shared_draws_give_the_same_reports(self, m):
-        draws = polyoracle.boundary_draws(m, 5, seed=3)
-        for suite in (verify_boundary_form_identity, verify_canonical_identity):
-            assert suite(m, 5, 3, draws=draws) == suite(m, 5, 3)
+    @pytest.mark.parametrize("seed", [3, 1001])
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_verify_identities_equals_the_two_suites(self, m, seed):
+        assert polyoracle.verify_identities(m, 5, seed) == (
+            verify_boundary_form_identity(m, 5, seed),
+            verify_canonical_identity(m, 5, seed),
+        )
 
-    @pytest.mark.parametrize("m, sample_count", [(4, 5), (3, 4)], ids=["other-order", "other-count"])
-    def test_draws_of_another_shape_are_refused(self, m, sample_count):
-        draws = polyoracle.boundary_draws(3, 5, seed=3)
-        with pytest.raises(ValueError, match="boundary_draws"):
-            verify_boundary_form_identity(m, sample_count, 3, draws=draws)
+    def test_verify_keeps_no_samples(self, capsys):
+        # each boundary vector is drawn, evaluated and dropped before the
+        # next, so memory does not grow with the sample count (the 3000
+        # vectors alone take about 1.4 MB)
+        argv = ["verify", "--m", "2", "--samples", "3000"]
+        assert cli.main(argv) == 0  # builds the cached forms first
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert capsys.readouterr().out
 
     def test_each_call_draws_afresh(self, monkeypatch):
         # no sample is kept between calls: two spot-checks with one seed
