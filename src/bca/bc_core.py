@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import numerics
-from .errors import BadShape, DependentRows, OddOrderUnsupported
+from . import exact, numerics
+from .errors import BadShape, DependentRows, NotNormalized, OddOrderUnsupported
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
@@ -46,8 +46,7 @@ class BoundaryConditionSystem:
     exact: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise BadShape(f"order must be >= 1, got {self.m}")
+        exact._check_order(self.m)
         coeffs = np.array(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (self.m, 2 * self.m):
             raise BadShape(
@@ -58,11 +57,11 @@ class BoundaryConditionSystem:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
-            exact = tuple(tuple((_fraction(re), _fraction(im)) for re, im in row) for row in self.exact)
-            rounded = [[complex(float(re), float(im)) for re, im in row] for row in exact]
+            pairs = tuple(tuple((_fraction(re), _fraction(im)) for re, im in row) for row in self.exact)
+            rounded = [[complex(float(re), float(im)) for re, im in row] for row in pairs]
             if rounded != coeffs.tolist():
                 raise BadShape("exact coefficients must round to coeffs")
-            object.__setattr__(self, "exact", exact)
+            object.__setattr__(self, "exact", pairs)
 
     @property
     def exact_coeffs(self) -> tuple:
@@ -100,14 +99,28 @@ class BoundaryConditionSystem:
 class NormalizedSystem:
     """A system in minimal form with per-row orders.
 
-    ``orders`` is nonincreasing, bounded by the order-gap rule
-    ``orders[j] > orders[j+2]``.
+    Construction checks minimal form and raises ``NotNormalized`` unless
+    ``orders`` holds m orders in 0..m-1, nonincreasing, bounded by the
+    order-gap rule ``orders[j] > orders[j+2]``, with no leading pair zero.
     """
 
     base: BoundaryConditionSystem
     orders: tuple[int, ...]
 
-    @property
+    def __post_init__(self) -> None:
+        orders = self.orders
+        if len(orders) != self.base.m:
+            raise NotNormalized("order list length does not match the system")
+        if any(k < k_next for k, k_next in zip(orders, orders[1:])):
+            raise NotNormalized("orders are not sorted descending")
+        if any(k <= k_after for k, k_after in zip(orders, orders[2:])):
+            raise NotNormalized("more than two rows share an order")
+        if orders[-1] < 0 or orders[0] >= self.base.m:
+            raise NotNormalized("an order lies outside 0..m-1")
+        if any(alpha == 0 and beta == 0 for alpha, beta in self.leading):
+            raise NotNormalized("a leading coefficient pair vanishes")
+
+    @cached_property
     def leading(self) -> tuple[tuple[complex, complex], ...]:
         """Per row, the coefficient pair of ``y^(k_j)`` at the two endpoints."""
         m = self.base.m

@@ -214,12 +214,13 @@ def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
 
 
 def parse_contraction_data(data: dict) -> contraction.ContractionParametrization:
-    from . import contraction
+    """The contraction of a V file; V is parsed before numpy is imported."""
     m = _parse_order(data)
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
     matrix = _rounded(_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows))
+    from . import contraction
     try:
         return contraction.ContractionParametrization(m=m, V=matrix)
     except NotAContraction as exc:
@@ -289,8 +290,9 @@ class _Subject:
             return generate_odd_irregular(args.n)
         data = _load_json(self.raw, args.file)
         if args.command == "from-contraction":
+            parametrization = parse_contraction_data(data)
             from . import contraction
-            return contraction.from_contraction(parse_contraction_data(data), self.tol)
+            return contraction.from_contraction(parametrization, self.tol)
         return parse_condition_data(data)
 
     @cached_property
@@ -503,7 +505,7 @@ def main(argv=None) -> int:
     try:
         tol = _resolve_tolerances(args)
         report = _build_report(args, tol)
-    except (InvalidInput, ValueError) as exc:
+    except ValueError as exc:  # every InvalidInput is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

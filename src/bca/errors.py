@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Two families matter to callers: ``InvalidInput`` covers anything a user
-could have handed us (bad shapes, dependent rows, non-contractions), while
+could have handed us (bad shapes, dependent rows, non-contractions, a
+system not in minimal form, an out-of-range argument), while
 ``NumericalFailure`` flags internal tolerance conflicts that should never
-occur on sane inputs.
+occur on sane inputs.  ``InvalidInput`` is also a ``ValueError``, so
+``except ValueError`` catches every input error the package raises.
 """
 
 
@@ -11,7 +13,7 @@ class BcaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidInput(BcaError):
+class InvalidInput(BcaError, ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
@@ -28,10 +30,6 @@ class NonHermitianInput(InvalidInput):
 
 
 class DependentRows(InvalidInput):
-    pass
-
-
-class DegenerateSystem(InvalidInput):
     pass
 
 

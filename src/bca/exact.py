@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import BadShape
+
 Gaussian = tuple[int, int]  # re + i im, as Python ints
 GaussianRows = list[list[Gaussian]]
 SparseRows = list[dict[int, Gaussian]]  # each row's nonzero entries, by column
@@ -24,7 +26,7 @@ _HALF, _ONE = Fraction(1, 2), Fraction(1)
 
 def _check_order(m: int) -> None:
     if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+        raise BadShape(f"order must be >= 1, got {m}")
 
 
 def boundary_block(m: int) -> SparseRows:

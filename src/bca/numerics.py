@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import BadShape, DimensionMismatch, NonHermitianInput
 from .tolerances import DEFAULT_TOLERANCES, TolerancePolicy  # re-exported
 
 
@@ -30,7 +30,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise BadShape("matrix entries must be finite")
     return mat
 
 

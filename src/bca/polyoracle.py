@@ -52,7 +52,7 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 from . import exact
-from .errors import DegenerateSystem
+from .errors import BadShape, DependentRows, DimensionMismatch, InvalidInput
 from .exact import Gaussian, GaussianRows, _bareiss, _gaussian_dot, _gaussian_vecmat, _integer_rows
 
 if TYPE_CHECKING:
@@ -212,7 +212,7 @@ class BoundaryVector:
 
     def __post_init__(self) -> None:
         if len(self.components) != 2 * self.m:
-            raise ValueError(
+            raise BadShape(
                 f"boundary vector of order {self.m} needs {2 * self.m} components"
             )
 
@@ -299,10 +299,9 @@ def _hermite_matrix(m: int) -> tuple[tuple[int, ...], ...]:
 def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolynomial:
     """Unique polynomial of degree <= 2m-1 matching the boundary vector:
     the boundary vector times the Hermite matrix of order m."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+    exact._check_order(m)
     if target.m != m:
-        raise ValueError(f"target has order {target.m}, expected {m}")
+        raise DimensionMismatch(f"target has order {target.m}, expected {m}")
     scaled = RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
     return scaled * Fraction(1, math.factorial(m - 1))
 
@@ -338,8 +337,7 @@ def boundary_vector_of(y: RationalComplexPolynomial, m: int) -> BoundaryVector:
 
 def l0_inner_product(y: RationalComplexPolynomial, m: int) -> RationalComplex:
     """Exact value of ``integral_0^1 (-i)^m y^(m)(x) conj(y(x)) dx``."""
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+    exact._check_order(m)
     deriv = y
     for _ in range(m):
         deriv = deriv.derivative()
@@ -400,7 +398,7 @@ def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
 
 def _check_sample_count(sample_count: int) -> None:
     if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise InvalidInput("sample_count must be >= 1")
 
 
 def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[GaussianRows, int]:
@@ -426,7 +424,7 @@ def _identity_reports(m: int, sample_count: int, seed: int, *suites) -> list[Ide
     vector is drawn once, evaluated on every D and dropped before the
     next."""
     if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {m}")
+        raise BadShape(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
     differences = [_difference(m, target(m), scale) for target, scale in suites]
     worst = [0] * len(differences)
@@ -513,7 +511,7 @@ def sample_dissipativity(
     rows, pivots, det = _bareiss(_integer_rows(system.exact_coeffs))
     free = [col for col in range(2 * m) if col not in pivots]
     if len(free) != m:
-        raise DegenerateSystem(f"expected null space of dimension {m}, got {len(free)}")
+        raise DependentRows(f"expected null space of dimension {m}, got {len(free)}")
     basis = []
     for col in free:
         vec = [(0, 0)] * (2 * m)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .bc_core import NormalizedSystem
-from .errors import NotNormalized
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
@@ -59,31 +59,13 @@ def ordered_roots(m: int) -> tuple[complex, ...]:
     is the sort of j by that integer.  No two j share it: for j != j'
     that would need ``4(j + j') = 4m + 2``.
     """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+    exact._check_order(m)
     order = sorted(range(1, m + 1), key=lambda j: abs(4 * j - 1 - 2 * m))
     return tuple(cmath.exp(1j * cmath.pi * (2 * j - 1) / m) for j in order)
 
 
-def _check_normalized(norm: NormalizedSystem) -> None:
-    orders = norm.orders
-    m = norm.base.m
-    if len(orders) != m:
-        raise NotNormalized("order list length does not match the system")
-    if any(orders[j] < orders[j + 1] for j in range(m - 1)):
-        raise NotNormalized("orders are not sorted descending")
-    if any(orders[j] <= orders[j + 2] for j in range(m - 2)):
-        raise NotNormalized("more than two rows share an order")
-    if any(not 0 <= k < m for k in orders):
-        raise NotNormalized("an order lies outside 0..m-1")
-    for alpha, beta in norm.leading:
-        if alpha == 0 and beta == 0:
-            raise NotNormalized("a leading coefficient pair vanishes")
-
-
 def _column_matrices(norm: NormalizedSystem) -> tuple[np.ndarray, np.ndarray]:
     """``A_alpha[j, c] = alpha_j omega_c^k_j`` and ``A_beta[j, c] = beta_j omega_c^k_j``."""
-    _check_normalized(norm)
     omegas = np.array(ordered_roots(norm.base.m))
     powers = omegas ** np.array(norm.orders)[:, None]
     alpha, beta = np.array(norm.leading, dtype=np.complex128).T

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -24,7 +26,7 @@ class TolerancePolicy:
         for name in ("definiteness_tol", "rank_tol", "zero_tol"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1e-2:
-                raise ValueError(f"{name} must lie in [0, 1e-2], got {value!r}")
+                raise InvalidInput(f"{name} must lie in [0, 1e-2], got {value!r}")
 
 
 DEFAULT_TOLERANCES = TolerancePolicy()

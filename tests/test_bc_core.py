@@ -8,6 +8,7 @@ import pytest
 import helpers
 from bca import (
     BoundaryConditionSystem,
+    NormalizedSystem,
     normalize,
     orders_multiset,
     rank_profile_orders,
@@ -18,6 +19,7 @@ from bca import (
 from bca.errors import (
     BadShape,
     DependentRows,
+    NotNormalized,
     OddOrderUnsupported,
 )
 from bca.numerics import row_span_basis, subspace_distance
@@ -191,6 +193,31 @@ class TestNormalize:
         system = BoundaryConditionSystem(2, [[1, 0, 1, 0], [2, 0, 2, 0]])
         with pytest.raises(DependentRows):
             normalize(system)
+
+
+ONES_M2 = BoundaryConditionSystem(2, np.ones((2, 4)))
+
+
+class TestNormalizedSystem:
+    @pytest.mark.parametrize(
+        "base, orders",
+        [
+            pytest.param(ONES_M2, (0, 1), id="increasing"),
+            pytest.param(ONES_M2, (2, 0), id="order-m"),
+            pytest.param(ONES_M2, (5, 0), id="order-beyond-the-row"),
+            pytest.param(BoundaryConditionSystem(2, [[1, 0, 1, 0], [0, 1, 0, 1]]), (1, 0), id="zero-leading-pair"),
+            pytest.param(ONES_M2, (1,), id="too-short"),
+            pytest.param(ONES_M2, (1, 0, 0), id="too-long"),
+            pytest.param(BoundaryConditionSystem(3, np.ones((3, 6))), (0, 0, 0), id="three-rows-share-an-order"),
+        ],
+    )
+    def test_not_minimal_form_rejected_at_construction(self, base, orders):
+        with pytest.raises(NotNormalized):
+            NormalizedSystem(base=base, orders=orders)
+
+    def test_leading_read_once(self):
+        norm = normalize(helpers.dirichlet_m2())
+        assert norm.leading is norm.leading
 
 
 class TestOrdersMultiset:

@@ -1,5 +1,6 @@
 """The lazy package: every exported name resolves to its module's object,
-and neither ``import bca`` nor a ``bca verify`` run imports numpy."""
+and neither ``import bca``, a ``bca verify`` run nor a malformed V file
+given to ``bca from-contraction`` imports numpy."""
 
 import importlib
 import os
@@ -38,12 +39,17 @@ def test_unknown_attribute_names_itself():
     [
         "import bca",
         "import bca.cli; bca.cli.main(['verify', '--m', '8', '--samples', '2'])",
+        "import bca.cli; assert bca.cli.main(['from-contraction', sys.argv[1]]) == 2",
     ],
-    ids=["import", "verify"],
+    ids=["import", "verify", "from-contraction-malformed-V"],
 )
-def test_numpy_is_never_imported(code):
+def test_numpy_is_never_imported(code, tmp_path):
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    malformed = tmp_path / "v.json"
+    malformed.write_text('{"m": 2, "V": [[[1, 0], [0, 0]], [[0, 0], ["x", 0]]]}')
     probe = f"import sys; {code}; sys.stdout.write(str('numpy' in sys.modules))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(malformed)], env=env, capture_output=True, text=True, timeout=60
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("False")

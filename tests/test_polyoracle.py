@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from bca import BoundaryConditionSystem, cli, exact, polyoracle
-from bca.errors import DegenerateSystem
+from bca.errors import DependentRows
 from bca.polyoracle import (
     BoundaryVector,
     RationalComplex,
@@ -448,7 +448,15 @@ class TestSampleDissipativity:
 
     def test_degenerate_rows_rejected(self):
         system = BoundaryConditionSystem(2, [[1, 0, 0, 0], [1, 0, 0, 0]])
-        with pytest.raises(DegenerateSystem):
+        with pytest.raises(DependentRows):
+            sample_dissipativity(system, 3, seed=0)
+
+    def test_exactly_dependent_rational_rows_rejected(self):
+        # the second row is exactly 3 times the first; as doubles it is not (1/3 rounds)
+        rows = [[(Fraction(1, 3), 0), (1, 0), (0, 0), (0, 0)], [(1, 0), (3, 0), (0, 0), (0, 0)]]
+        coeffs = [[complex(float(re), float(im)) for re, im in row] for row in rows]
+        system = BoundaryConditionSystem(2, coeffs, exact=rows)
+        with pytest.raises(DependentRows):
             sample_dissipativity(system, 3, seed=0)
 
 

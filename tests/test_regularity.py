@@ -180,24 +180,21 @@ class TestRegularityVerdict:
 
     def test_not_normalized_rejected(self):
         norm = normalize(helpers.dirichlet_m2())
-        broken = NormalizedSystem(base=norm.base, orders=(0, 1))
         with pytest.raises(NotNormalized):
-            regularity_verdict(broken)
+            regularity_verdict(NormalizedSystem(base=norm.base, orders=(0, 1)))
 
     def test_zero_leading_pair_rejected(self):
         norm = normalize(helpers.dirichlet_m2())
         coeffs = norm.base.coeffs.copy()
         k = norm.orders[0]
         coeffs[0, [k, 2 + k]] = 0
-        broken = NormalizedSystem(base=BoundaryConditionSystem(2, coeffs), orders=norm.orders)
         with pytest.raises(NotNormalized):
-            regularity_verdict(broken)
+            regularity_verdict(NormalizedSystem(base=BoundaryConditionSystem(2, coeffs), orders=norm.orders))
 
     def test_order_out_of_range_rejected(self):
         norm = normalize(helpers.dirichlet_m2())
-        broken = NormalizedSystem(base=norm.base, orders=(2, 0))
         with pytest.raises(NotNormalized):
-            regularity_verdict(broken)
+            regularity_verdict(NormalizedSystem(base=norm.base, orders=(2, 0)))
 
 
 # The boundary determinant of each of these systems vanishes identically,
