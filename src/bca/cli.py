@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from . import bc_core, contraction, forms, regularity
 
 _TOOL = {"name": "bca", "version": __version__}
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
 
 
 class FileFormatError(InvalidInput):
@@ -49,19 +50,19 @@ class FileFormatError(InvalidInput):
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON text with insertion-order keys and fixed float formatting."""
     pad = "  " * indent
-    if obj is None or isinstance(obj, int):  # bool is an int
-        return json.dumps(obj)
+    if obj is None or isinstance(obj, int):  # written as json.dumps writes them; bool is an int
+        return "null" if obj is None else ("false", "true")[obj] if isinstance(obj, bool) else int.__repr__(obj)
     if isinstance(obj, float):
         return format(float(obj), ".17g")
     if isinstance(obj, (str, Fraction)):
-        return json.dumps(str(obj))
+        return _quote(str(obj))
     if isinstance(obj, (list, tuple)):
         items = [dumps_deterministic(v, indent) for v in obj]
         return "[" + ", ".join(items) + "]"
     if isinstance(obj, dict):
         inner = "  " * (indent + 1)
         parts = [
-            f"{inner}{json.dumps(str(k))}: {dumps_deterministic(v, indent + 1)}"
+            f"{inner}{_quote(str(k))}: {dumps_deterministic(v, indent + 1)}"
             for k, v in obj.items()
         ]
         if not parts:
@@ -138,10 +139,10 @@ def _parse_string(value: str, where: str) -> Fraction | None:
     return Fraction(-numerator if sign == "-" else numerator, int(den) * 10 ** max(-shift, 0))
 
 
-def _parse_part(value, where: str) -> Fraction:
-    """A real number of the input, exactly: ints, floats and "p/q" strings
-    all convert to Fraction without rounding.  A string is judged by its
-    value, so zeros that carry no value count toward no limit."""
+def _parse_part(value, where: str) -> tuple[Fraction, float]:
+    """A real number of the input, exactly, and its nearest double: ints, floats
+    and "p/q" strings convert to Fraction without rounding.  A string is
+    judged by its value, so zeros that carry no value count toward no limit."""
     if isinstance(value, float) and not math.isfinite(value):
         raise FileFormatError(f"{where}: value must be finite")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -149,22 +150,17 @@ def _parse_part(value, where: str) -> Fraction:
     part = _parse_string(value, where) if isinstance(value, str) else Fraction(value)
     if part is None or max(abs(part.numerator), part.denominator) >= _DIGIT_CAP:
         raise FileFormatError(f"{where}: exact value has more than {_MAX_DIGITS} digits")
-    try:
-        float(part)  # the float layers need its nearest double
+    try:  # a float is its own double (+ 0.0 drops a zero's sign, as Fraction does)
+        return part, value + 0.0 if isinstance(value, float) else float(part)
     except OverflowError:
         raise FileFormatError(f"{where}: value out of double range") from None
-    return part
 
 
-def _parse_complex(value, where: str) -> tuple[Fraction, Fraction]:
+def _parse_complex(value, where: str) -> tuple[tuple[Fraction, Fraction], complex]:
     if not isinstance(value, list) or len(value) != 2:
         raise FileFormatError(f"{where}: complex values are [re, im] pairs")
-    return _parse_part(value[0], f"{where}[0]"), _parse_part(value[1], f"{where}[1]")
-
-
-def _rounded(rows) -> list[list[complex]]:
-    """Exact (re, im) pairs rounded to the nearest doubles."""
-    return [[complex(float(re), float(im)) for re, im in row] for row in rows]
+    (re, re_double), (im, im_double) = (_parse_part(part, f"{where}[{k}]") for k, part in enumerate(value))
+    return (re, im), complex(re_double, im_double)
 
 
 def _load_json(raw: bytes, path: str) -> dict:
@@ -184,7 +180,7 @@ def _parse_order(data: dict) -> int:
     return m
 
 
-def _parse_values(values, m: int, where: str) -> list[tuple[Fraction, Fraction]]:
+def _parse_values(values, m: int, where: str) -> list[tuple[tuple[Fraction, Fraction], complex]]:
     if not isinstance(values, list) or len(values) != m:
         raise FileFormatError(f"{where}: expected a list of {m} values")
     return [_parse_complex(value, f"{where}[{k}]") for k, value in enumerate(values)]
@@ -197,15 +193,16 @@ def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
     conditions = data.get("conditions")
     if not isinstance(conditions, list) or len(conditions) != m:
         raise FileFormatError(f"conditions: expected a list of {m} rows")
-    exact = []
+    parsed = []
     for j, row in enumerate(conditions):
         where = f"conditions[{j}]"
         if not isinstance(row, dict):
             raise FileFormatError(f"{where}: expected an object with 'a' and 'b'")
-        exact.append(
+        parsed.append(
             _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(row.get("b"), m, f"{where}.b")
         )
-    rounded = _rounded(exact)
+    exact = [[pair for pair, _ in row] for row in parsed]
+    rounded = [[z for _, z in row] for row in parsed]
     for j, (exact_row, row) in enumerate(zip(exact, rounded)):
         if any(re or im for re, im in exact_row) and not any(row):
             raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
@@ -219,7 +216,7 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
-    matrix = _rounded(_parse_values(row, m, f"V[{j}]") for j, row in enumerate(rows))
+    matrix = [[z for _, z in _parse_values(row, m, f"V[{j}]")] for j, row in enumerate(rows)]
     from . import contraction
     try:
         return contraction.ContractionParametrization(m=m, V=matrix)

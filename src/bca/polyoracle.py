@@ -27,11 +27,12 @@ its values, so D is the zero matrix exactly when the identity holds for
 every boundary vector: that is the certificate a suite reports as
 ``passed``.  The reported defect is the largest value of D at drawn
 boundary vectors.  The dissipativity spot-check scales each condition row
-to Gaussian integers and eliminates by Bareiss's fraction-free
-Gauss-Jordan method, whose every division is exact and checked; the
-result is the RREF null-space basis times one Gaussian integer.  Every
-sampling loop draws one vector at a time, evaluates it and drops it, so
-memory does not grow with the sample count.  RationalComplex and
+to Gaussian integers, eliminates by Bareiss's fraction-free Gauss-Jordan
+method (every division exact and checked) to the RREF null-space basis
+times one Gaussian integer, reads F by its 2m nonzeros and draws weights
+only on the support of the restricted form, so a zero form draws nothing.
+Every sampling loop draws one vector at a time, evaluates it and drops
+it, so memory does not grow with the sample count.  RationalComplex and
 ``_rref`` serve only the reference route.  Nothing here imports numpy.
 
 Sampling is driven by a counter-based generator (SHA-256 of
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING
 
 from . import exact
 from .errors import BadShape, DependentRows, DimensionMismatch, InvalidInput
-from .exact import Gaussian, GaussianRows, _bareiss, _gaussian_dot, _gaussian_vecmat, _integer_rows
+from .exact import Gaussian, GaussianRows, SparseRows, _bareiss, _gaussian_dot, _gaussian_vecmat, _integer_rows
 
 if TYPE_CHECKING:
     from .bc_core import BoundaryConditionSystem
@@ -396,6 +397,23 @@ def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
     return [[(re // common, im // common) for re, im in row] for row in rows], 2 * den // common
 
 
+@functools.cache
+def _sparse_imaginary_form(m: int) -> tuple[SparseRows, int]:
+    """The F of :func:`_integer_imaginary_form` by its nonzero entries, 2m of them (F = M/2)."""
+    rows, den = _integer_imaginary_form(m)
+    return [{d: z for d, z in enumerate(row) if z != (0, 0)} for row in rows], den
+
+
+def _form_value(terms, w) -> int:
+    """``Re(w K w*)`` from the nonzero entries ``(a, b, K[a][b])``, a <= b, of
+    a Hermitian K, those off the diagonal doubled; ``w`` maps index to weight."""
+    total = 0
+    for a, b, (kr, ki) in terms:
+        (ar, ai), (br, bi) = w[a], w[b]
+        total += (ar * kr - ai * ki) * br + (ar * ki + ai * kr) * bi
+    return total
+
+
 def _check_sample_count(sample_count: int) -> None:
     if sample_count < 1:
         raise InvalidInput("sample_count must be >= 1")
@@ -503,8 +521,9 @@ def sample_dissipativity(
     :func:`rational_nullspace` times one Gaussian integer d; the minimum
     of ``Im(L0 y, y) = w K w*`` over random rational weights w is
     reported, with ``K = N F N*`` the form F restricted to the solutions
-    ``yh = w N``.  K and every sample are integer sums; one Fraction is
-    built at the end.
+    ``yh = w N``.  Only the weights on K's support (its nonzero rows) are
+    drawn, as no other weight moves the value, and K = 0 reports 0 with no
+    draw.  K and every sample are integer sums; one Fraction is built.
     """
     _check_sample_count(sample_count)
     m = system.m
@@ -519,10 +538,14 @@ def sample_dissipativity(
         for row, pivot in zip(rows, pivots):
             vec[pivot] = (-row[col][0], -row[col][1])
         basis.append(vec)
-    form, den = _integer_imaginary_form(m)
-    restricted = [[_gaussian_dot(left, row) for row in basis] for left in (_gaussian_vecmat(r, form) for r in basis)]
-    weights = (_scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
-    least = min(_gaussian_dot(_gaussian_vecmat(w, restricted), w)[0] for w in weights)
+    form, den = _sparse_imaginary_form(m)
+    # N F read by F's nonzeros: F is Hermitian, so column d of F is conj(row d)
+    images = [[_gaussian_dot([vec[c] for c in row], row.values()) for row in form] for vec in basis]
+    upper = {(a, b): _gaussian_dot(images[a], basis[b]) for a in range(m) for b in range(a, m)}
+    terms = [(a, b, (re, im) if a == b else (2 * re, 2 * im)) for (a, b), (re, im) in upper.items() if re or im]
+    support = sorted({index for a, b, _ in terms for index in (a, b)})
+    weights = (dict(zip(support, _scaled_draws(seed, f"ns{index}", support))) for index in range(sample_count))
+    least = min(_form_value(terms, w) for w in weights) if support else 0  # K = 0 draws nothing
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count

@@ -346,6 +346,63 @@ class TestParser:
             assert json.loads(out)["seed"] == int(seed)
 
 
+class TestParsePart:
+    @pytest.mark.parametrize(
+        "value",
+        [0, -7, 2**53 + 1, 10**300, 0.1, -0.0, -2.5e-17, 1.7e308, 1e-310, 5e-324,
+         "0", "1/3", "-22/7", "0.1", "-3.25e2", "9007199254740993", "1e-320", "2.5e-324", "1.7e308", "1e308",
+         "-0.0"],
+        ids=lambda value: f"{type(value).__name__}-{str(value)[:16]}",
+    )
+    def test_double_is_the_nearest_double_of_the_exact_value(self, value):
+        part, double = cli._parse_part(value, "x")
+        assert part == Fraction(value)
+        assert type(double) is float and repr(double) == repr(float(part))  # no negative zero either
+
+    def test_system_keeps_the_parsed_doubles(self):
+        payload = {"m": 2, "conditions": [
+            {"a": [["1/3", 0.1], [2, "-7/9"]], "b": [[-0.0, "1e-320"], ["3.25e2", 10**300]]},
+            {"a": [[0, 1], ["1/7", 0]], "b": [[1.5, 2], [0, "22/7"]]},
+        ]}
+        system = cli.parse_condition_data(payload)
+        assert system.coeffs.tolist() == [
+            [complex(float(re), float(im)) for re, im in row] for row in system.exact
+        ]
+        contraction = cli.parse_contraction_data({"m": 1, "V": [[["1/3", -0.0]]]})
+        assert contraction.V.tolist() == [[complex(1 / 3, 0.0)]]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1e400", "value out of double range"), (10**400, "value out of double range"),
+         ("-1.8e308", "value out of double range"), (float("inf"), "value must be finite")],
+    )
+    def test_value_beyond_the_double_range_names_its_field(self, value, message):
+        with pytest.raises(cli.FileFormatError, match=rf"^conditions\[0\]\.a\[0\]\[1\]: {message}$"):
+            cli._parse_part(value, "conditions[0].a[0][1]")
+
+    def test_underflowing_row_still_names_its_row(self):
+        # every part parses, to a double of 0.0, and the row is refused whole
+        assert cli._parse_part("1e-400", "x") == (Fraction(1, 10**400), 0.0)
+        lost = {"m": 1, "conditions": [{"a": [["1e-400", "0"]], "b": [["2e-400", "0"]]}]}
+        with pytest.raises(cli.FileFormatError, match=r"^conditions\[0\]: nonzero row underflows"):
+            cli.parse_condition_data(lost)
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "value",
+        [None, True, False, 0, -12, 10**40, "", "plain", 'quo"te\\', "tab\tnew\nline", "\u00e9\u4e2d\U0001f600",
+         "\x00\x1f\x7f"],
+    )
+    def test_scalars_and_keys_render_as_json_dumps(self, value):
+        key = str(value)
+        assert cli.dumps_deterministic(value) == json.dumps(value)
+        assert cli.dumps_deterministic({key: 1}) == "{\n  " + json.dumps(key) + ": 1\n}"
+
+    def test_fraction_renders_as_its_string(self):
+        assert cli.dumps_deterministic(Fraction(-3, 7)) == '"-3/7"'
+
+
 class TestErrorHandling:
     def test_missing_file(self):
         code, _, err = run_cli(["check", "/nonexistent/x.json"])

@@ -74,6 +74,50 @@ def exact_system(rng, m, rank=None):
     return BoundaryConditionSystem(m, coeffs, exact=rows)
 
 
+def dense_min_value(system, sample_count, seed):
+    """The spot-check's minimum by the dense route: all of ``K = N F N*``
+    from the dense F, and all m weights of every sample drawn."""
+    m = system.m
+    rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
+    basis = []
+    for col in (col for col in range(2 * m) if col not in pivots):
+        vec = [(0, 0)] * (2 * m)
+        vec[col] = det
+        for row, pivot in zip(rows, pivots):
+            vec[pivot] = (-row[col][0], -row[col][1])
+        basis.append(vec)
+    form, den = polyoracle._integer_imaginary_form(m)
+    lefts = [exact._gaussian_vecmat(vec, form) for vec in basis]
+    restricted = [[exact._gaussian_dot(left, vec) for vec in basis] for left in lefts]
+    weights = (polyoracle._scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
+    least = min(exact._gaussian_dot(exact._gaussian_vecmat(w, restricted), w)[0] for w in weights)
+    return Fraction(least, 144 * (det[0] ** 2 + det[1] ** 2) * den)
+
+
+def sparse_systems(rng, m):
+    """Systems whose K is 0 or has zero rows: separated conditions
+    ``y^(k)(0) = 0``, k < ceil(m/2), and ``y^(k)(1) = 0``, k < m/2;
+    periodic; quasi-periodic with c_k = 2 for all k, for k = 0 (support 2
+    of m) and for k < 2 (support 4 of m); the odd-irregular family; and a
+    random integer system with about two thirds of its entries 0."""
+    separated = np.zeros((m, 2 * m))
+    for row, col in enumerate(list(range((m + 1) // 2)) + [m + k for k in range(m // 2)]):
+        separated[row, col] = 1
+    systems = [
+        BoundaryConditionSystem(m, separated),
+        helpers.quasi_periodic(m, [1] * m),
+        helpers.quasi_periodic(m, [2] * m),
+        helpers.quasi_periodic(m, ([2] + [1] * m)[:m]),
+        helpers.quasi_periodic(m, ([2, 2] + [1] * m)[:m]),
+    ]
+    if m % 2:
+        systems.append(helpers.odd_irregular((m + 1) // 2))
+    while True:
+        coeffs = rng.integers(-3, 4, size=(m, 2 * m)) * (rng.random((m, 2 * m)) < 1 / 3)
+        if np.linalg.matrix_rank(coeffs) == m:
+            return systems + [BoundaryConditionSystem(m, coeffs)]
+
+
 class TestRationalComplex:
     def test_arithmetic(self):
         a = qc(Fraction(1, 2), Fraction(-3, 4))
@@ -195,6 +239,14 @@ class TestGram:
             assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
             re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
             assert (Fraction(re, 144 * den), im) == (expected.im, 0)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_sparse_form_is_the_form_by_its_nonzeros(self, m):
+        # F = M/2 has 2m nonzeros; the sparse rows hold exactly those of F
+        rows, den = polyoracle._integer_imaginary_form(m)
+        sparse, sparse_den = polyoracle._sparse_imaginary_form(m)
+        assert sparse_den == den and sum(map(len, sparse)) == 2 * m
+        assert [[row.get(d, (0, 0)) for d in range(2 * m)] for row in sparse] == rows
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_form_is_over_its_least_denominator(self, m):
@@ -419,12 +471,61 @@ class TestSampleDissipativity:
                 values.append(l0_inner_product(y, m).im)
             assert sample_dissipativity(system, 5, seed=5).min_value == min(values)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_dense_route(self, m):
+        # the minimum over K's support equals the minimum over all of K, as
+        # a Fraction, on float, p/q, mixed and sparse systems
+        rng = np.random.default_rng(60 + m)
+        floats = helpers.random_system(rng, m)
+        pq = exact_system(rng, m)
+        mixed = exact_system(rng, m).exact_coeffs
+        mixed = BoundaryConditionSystem(  # p/q rows, some of them given as their doubles
+            m, [[complex(float(re), float(im)) for re, im in row] for row in mixed],
+            exact=[row if j % 2 else [(float(re), float(im)) for re, im in row] for j, row in enumerate(mixed)],
+        )
+        systems = [floats, pq, mixed, helpers.random_dissipative(rng, m)] + sparse_systems(rng, m)
+        for system in systems:
+            for samples, seed in ((25, 0), (40, 7)):
+                report = sample_dissipativity(system, samples, seed)
+                assert report.min_value == dense_min_value(system, samples, seed)
+                assert report.all_nonnegative == (report.min_value >= 0)
+
+    @staticmethod
+    def draws_of(monkeypatch, system, samples=4):
+        """The index lists ``sample_dissipativity`` hands ``_scaled_draws``."""
+        calls = []
+        draws = polyoracle._scaled_draws
+        monkeypatch.setattr(
+            polyoracle, "_scaled_draws", lambda seed, tag, indices: calls.append(list(indices)) or draws(seed, tag, indices)
+        )
+        sample_dissipativity(system, samples, seed=3)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("system", [helpers.dirichlet_m2, helpers.neumann_m2, helpers.periodic_m2])
+    def test_zero_form_draws_nothing(self, monkeypatch, system):
+        # K = 0 on self-adjoint separated and periodic conditions
+        assert self.draws_of(monkeypatch, system()) == []
+        assert sample_dissipativity(system(), 4, seed=3) == polyoracle.DissipativitySampleReport(True, 0, 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rank_one_form_draws_one_index(self, monkeypatch, n):
+        # on the odd-irregular family K is the rank-one |y^(n-1)(0)|^2 / 2
+        calls = self.draws_of(monkeypatch, helpers.odd_irregular(n))
+        assert len(calls) == 4 and all(len(indices) == 1 for indices in calls)
+        assert len({tuple(indices) for indices in calls}) == 1
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_generic_form_draws_every_index(self, monkeypatch, m):
+        system = helpers.random_system(np.random.default_rng(m), m)
+        assert self.draws_of(monkeypatch, system) == [list(range(m))] * 4
+
     def test_sample_count_checked_before_any_elimination(self, monkeypatch):
         calls = []
-        bareiss, form = polyoracle._bareiss, polyoracle._integer_imaginary_form
+        bareiss, form = polyoracle._bareiss, polyoracle._sparse_imaginary_form
         monkeypatch.setattr(polyoracle, "_bareiss", lambda rows: calls.append("bareiss") or bareiss(rows))
         monkeypatch.setattr(
-            polyoracle, "_integer_imaginary_form", lambda m: calls.append("form") or form(m)
+            polyoracle, "_sparse_imaginary_form", lambda m: calls.append("form") or form(m)
         )
         with pytest.raises(ValueError):
             sample_dissipativity(helpers.dirichlet_m2(), 0, seed=0)
@@ -432,11 +533,13 @@ class TestSampleDissipativity:
         sample_dissipativity(helpers.dirichlet_m2(), 1, seed=0)
         assert calls == ["bareiss", "form"]
 
-    def test_keeps_no_samples(self):
+    def test_keeps_no_samples(self, monkeypatch):
         # each weight vector is drawn, evaluated and dropped before the next,
         # so memory does not grow with the sample count (a list of 3000
-        # samples alone takes about 1 MB)
-        system = helpers.dirichlet_m2()
+        # samples alone takes about 1 MB); K has full support here, so
+        # every sample draws both weights
+        system = helpers.random_dissipative(np.random.default_rng(3), 2)
+        assert self.draws_of(monkeypatch, system, 1) == [[0, 1]]
         sample_dissipativity(system, 1, seed=0)  # builds the cached form first
         tracemalloc.start()
         try:
