@@ -7,8 +7,8 @@ integer closed forms of both identity targets live here -- M, and the
 canonical maps with the target ``(S - S*)/2i`` -- so :mod:`bca.forms` and
 :mod:`bca.contraction` convert the very matrices that the exact oracle
 (:mod:`bca.polyoracle`) certifies.  So does the fraction-free linear
-algebra the oracle runs on: checked exact division and Bareiss
-elimination.
+algebra the oracle runs on: checked exact division, Bareiss elimination
+and the null-space basis it yields.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BadShape
+from .errors import BadShape, DimensionMismatch, InvalidInput
 
 Gaussian = tuple[int, int]  # re + i im, as Python ints
 GaussianRows = list[list[Gaussian]]
@@ -24,7 +24,15 @@ SparseRows = list[dict[int, Gaussian]]  # each row's nonzero entries, by column
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
 
 
+def _check_integer(value, what: str, error: type[InvalidInput]) -> None:
+    """Reject a bool and anything ``operator.index`` rejects (numpy ints
+    pass), the rule ``cli._parse_order`` applies to m."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{what} must be an integer, got {value!r}")
+
+
 def _check_order(m: int) -> None:
+    _check_integer(m, "order", BadShape)
     if m < 1:
         raise BadShape(f"order must be >= 1, got {m}")
 
@@ -126,8 +134,8 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
     with y the pivot row, p its pivot and prev the previous pivot.
     Sylvester's identity makes that division exact (Bareiss, Math. Comp.
     22, 1968), so every entry stays a Gaussian integer.  Returns the rows,
-    the pivot columns and the last pivot d: the rows are the RREF of
-    ``polyoracle._rref`` (same pivoting) times d.
+    the pivot columns and the last pivot d: the rows are the RREF, pivoting
+    on the first nonzero entry of each column, times d.
 
     After each step the pivot columns are p I on the pivot rows and 0
     elsewhere, so a step updates only the columns that are not pivots,
@@ -161,6 +169,26 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
         for j, col in enumerate(pivots):
             row[col] = prev if i == j else (0, 0)
     return rows, pivots, prev
+
+
+def _nullspace(rows: GaussianRows) -> tuple[GaussianRows, Gaussian]:
+    """A null-space basis of Gaussian-integer rows of one length, times one
+    Gaussian integer d, from :func:`_bareiss`: per column c that is not a
+    pivot, d at c and minus column c of the eliminated rows at the pivots.
+    Over d it is the RREF basis, whose vector c is 1 at c."""
+    width = len(rows[0])
+    for j, row in enumerate(rows):
+        if len(row) != width:
+            raise DimensionMismatch(f"row {j} has {len(row)} entries, expected {width}")
+    rows, pivots, d = _bareiss(rows)
+    basis = []
+    for col in (col for col in range(width) if col not in pivots):
+        vec = [(0, 0)] * width
+        vec[col] = d
+        for row, pivot in zip(rows, pivots):
+            vec[pivot] = (-row[col][0], -row[col][1])
+        basis.append(vec)
+    return basis, d
 
 
 def _gaussian_vecmat(vector, rows) -> list[Gaussian]:

@@ -32,8 +32,9 @@ method (every division exact and checked) to the RREF null-space basis
 times one Gaussian integer, reads F by its 2m nonzeros and draws weights
 only on the support of the restricted form, so a zero form draws nothing.
 Every sampling loop draws one vector at a time, evaluates it and drops
-it, so memory does not grow with the sample count.  RationalComplex and
-``_rref`` serve only the reference route.  Nothing here imports numpy.
+it, so memory does not grow with the sample count.  RationalComplex serves
+only the reference route and :func:`rational_nullspace`.  Nothing here
+imports numpy.
 
 Sampling is driven by a counter-based generator (SHA-256 of
 ``seed:tag:index``), so samples are independent of evaluation order and
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 
 from . import exact
 from .errors import BadShape, DependentRows, DimensionMismatch, InvalidInput
-from .exact import Gaussian, GaussianRows, SparseRows, _bareiss, _gaussian_dot, _gaussian_vecmat, _integer_rows
+from .exact import Gaussian, GaussianRows, SparseRows, _gaussian_dot, _gaussian_vecmat, _integer_rows, _nullspace
 
 if TYPE_CHECKING:
     from .bc_core import BoundaryConditionSystem
@@ -129,7 +130,6 @@ class RationalComplex:
 
 
 QC_ZERO = RationalComplex(0, 0)
-QC_ONE = RationalComplex(1, 0)
 MAX_ORDER = 16  # the largest order the identity suites accept
 
 
@@ -234,30 +234,6 @@ class DissipativitySampleReport:
     all_nonnegative: bool
     min_value: Fraction
     samples: int
-
-
-def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan reduced row echelon form of exact (Fraction or
-    RationalComplex) rows, pivoting on the first nonzero entry (the RREF is
-    unique, so any exact pivot gives the same rows); returns the rows and
-    each leading row's pivot column."""
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    for col in range(len(rows[0])):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i == r or not rows[i][col]:
-                continue
-            factor = rows[i][col]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows, pivots
 
 
 def _vecmat(vector, rows) -> list[RationalComplex]:
@@ -415,6 +391,7 @@ def _form_value(terms, w) -> int:
 
 
 def _check_sample_count(sample_count: int) -> None:
+    exact._check_integer(sample_count, "sample_count", InvalidInput)
     if sample_count < 1:
         raise InvalidInput("sample_count must be >= 1")
 
@@ -441,7 +418,8 @@ def _identity_reports(m: int, sample_count: int, seed: int, *suites) -> list[Ide
     ``random_boundary_vector(m, seed, index)``, index < sample_count.  Each
     vector is drawn once, evaluated on every D and dropped before the
     next."""
-    if not 1 <= m <= MAX_ORDER:
+    exact._check_order(m)
+    if m > MAX_ORDER:
         raise BadShape(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
     differences = [_difference(m, target(m), scale) for target, scale in suites]
@@ -495,19 +473,13 @@ def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityRep
 def rational_nullspace(
     matrix: list[list[RationalComplex]],
 ) -> list[list[RationalComplex]]:
-    """Exact basis of the null space of a RationalComplex matrix (RREF)."""
+    """Exact basis of the null space of a RationalComplex matrix whose rows
+    have one length: the RREF basis, :func:`exact._nullspace` over its d."""
     if not matrix:
         return []
-    rows, pivots = _rref(matrix)
-    n_cols = len(rows[0])
-    basis = []
-    for free in sorted(set(range(n_cols)) - set(pivots)):
-        vec = [QC_ZERO] * n_cols
-        vec[free] = QC_ONE
-        for row, col in enumerate(pivots):
-            vec[col] = -rows[row][free]
-        basis.append(vec)
-    return basis
+    basis, d = _nullspace(_integer_rows([[(z.re, z.im) for z in row] for row in matrix]))
+    scale = RationalComplex(*d)
+    return [[RationalComplex(*z) / scale for z in vec] for vec in basis]
 
 
 def sample_dissipativity(
@@ -527,17 +499,9 @@ def sample_dissipativity(
     """
     _check_sample_count(sample_count)
     m = system.m
-    rows, pivots, det = _bareiss(_integer_rows(system.exact_coeffs))
-    free = [col for col in range(2 * m) if col not in pivots]
-    if len(free) != m:
-        raise DependentRows(f"expected null space of dimension {m}, got {len(free)}")
-    basis = []
-    for col in free:
-        vec = [(0, 0)] * (2 * m)
-        vec[col] = det
-        for row, pivot in zip(rows, pivots):
-            vec[pivot] = (-row[col][0], -row[col][1])
-        basis.append(vec)
+    basis, det = _nullspace(_integer_rows(system.exact_coeffs))
+    if len(basis) != m:
+        raise DependentRows(f"expected null space of dimension {m}, got {len(basis)}")
     form, den = _sparse_imaginary_form(m)
     # N F read by F's nonzeros: F is Hermitian, so column d of F is conj(row d)
     images = [[_gaussian_dot([vec[c] for c in row], row.values()) for row in form] for vec in basis]

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from bca import BoundaryConditionSystem, cli, exact, polyoracle
-from bca.errors import DependentRows
+from bca.errors import DependentRows, DimensionMismatch
 from bca.polyoracle import (
     BoundaryVector,
     RationalComplex,
@@ -74,18 +74,58 @@ def exact_system(rng, m, rank=None):
     return BoundaryConditionSystem(m, coeffs, exact=rows)
 
 
+# The reference for the exact null space: Gauss-Jordan elimination in
+# RationalComplex arithmetic, independent of the fraction-free _bareiss.
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan reduced row echelon form of exact (Fraction or
+    RationalComplex) rows, pivoting on the first nonzero entry (the RREF is
+    unique, so any exact pivot gives the same rows); returns the rows and
+    each leading row's pivot column."""
+    rows = [row[:] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i == r or not rows[i][col]:
+                continue
+            factor = rows[i][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def reference_nullspace(matrix):
+    """The RREF null-space basis by :func:`_rref`: per free column, 1 there
+    and minus that column of the reduced rows at the pivots."""
+    if not matrix:
+        return []
+    rows, pivots = _rref(matrix)
+    n_cols = len(rows[0])
+    basis = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [qc(0)] * n_cols
+        vec[free] = qc(1)
+        for row, col in enumerate(pivots):
+            vec[col] = -rows[row][free]
+        basis.append(vec)
+    return basis
+
+
+def rational_rows(system):
+    return [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+
+
 def dense_min_value(system, sample_count, seed):
     """The spot-check's minimum by the dense route: all of ``K = N F N*``
     from the dense F, and all m weights of every sample drawn."""
     m = system.m
-    rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
-    basis = []
-    for col in (col for col in range(2 * m) if col not in pivots):
-        vec = [(0, 0)] * (2 * m)
-        vec[col] = det
-        for row, pivot in zip(rows, pivots):
-            vec[pivot] = (-row[col][0], -row[col][1])
-        basis.append(vec)
+    basis, det = exact._nullspace(exact._integer_rows(system.exact_coeffs))
     form, den = polyoracle._integer_imaginary_form(m)
     lefts = [exact._gaussian_vecmat(vec, form) for vec in basis]
     restricted = [[exact._gaussian_dot(left, vec) for vec in basis] for left in lefts]
@@ -261,7 +301,7 @@ class TestGram:
         def fail(*args):
             raise AssertionError("the exact forms are built from closed forms in integers")
 
-        monkeypatch.setattr(polyoracle, "_rref", fail)
+        monkeypatch.setattr(polyoracle, "_nullspace", fail)
         monkeypatch.setattr(polyoracle, "Fraction", fail)
         polyoracle._integer_imaginary_form.cache_clear()
         polyoracle._hermite_matrix.cache_clear()
@@ -438,7 +478,7 @@ class TestSampleDissipativity:
         exact = [
             [RationalComplex.from_complex(z) for z in row] for row in system.coeffs
         ]
-        basis = rational_nullspace(exact)
+        basis = reference_nullspace(exact)
         assert len(basis) == m
         for index in range(10):
             combo = [
@@ -461,9 +501,7 @@ class TestSampleDissipativity:
             helpers.recombined(floats, helpers.random_recombination(rng, m)),
         )
         for system in systems:
-            basis = rational_nullspace(
-                [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
-            )
+            basis = reference_nullspace(rational_rows(system))
             values = []
             for index in range(5):
                 weights = [polyoracle.random_rational_complex(5, f"ns{index}", j) for j in range(m)]
@@ -522,8 +560,8 @@ class TestSampleDissipativity:
 
     def test_sample_count_checked_before_any_elimination(self, monkeypatch):
         calls = []
-        bareiss, form = polyoracle._bareiss, polyoracle._sparse_imaginary_form
-        monkeypatch.setattr(polyoracle, "_bareiss", lambda rows: calls.append("bareiss") or bareiss(rows))
+        nullspace, form = polyoracle._nullspace, polyoracle._sparse_imaginary_form
+        monkeypatch.setattr(polyoracle, "_nullspace", lambda rows: calls.append("nullspace") or nullspace(rows))
         monkeypatch.setattr(
             polyoracle, "_sparse_imaginary_form", lambda m: calls.append("form") or form(m)
         )
@@ -531,7 +569,7 @@ class TestSampleDissipativity:
             sample_dissipativity(helpers.dirichlet_m2(), 0, seed=0)
         assert calls == []
         sample_dissipativity(helpers.dirichlet_m2(), 1, seed=0)
-        assert calls == ["bareiss", "form"]
+        assert calls == ["nullspace", "form"]
 
     def test_keeps_no_samples(self, monkeypatch):
         # each weight vector is drawn, evaluated and dropped before the next,
@@ -566,9 +604,8 @@ class TestSampleDissipativity:
 class TestBareiss:
     @staticmethod
     def assert_matches_rref(system):
-        rationals = [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
         rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
-        rref_rows, rref_pivots = polyoracle._rref(rationals)
+        rref_rows, rref_pivots = _rref(rational_rows(system))
         assert pivots == rref_pivots
         assert [[qc(*value) / qc(*det) for value in row] for row in rows] == rref_rows
 
@@ -615,6 +652,36 @@ class TestBareiss:
     def test_inexact_division_raises(self, a, b):
         with pytest.raises(ArithmeticError):
             exact._exact_quotient(a, b)
+
+
+class TestRationalNullspace:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_the_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        for rank in (None, *range(1, m)):  # full rank, then every deficient rank
+            matrix = rational_rows(exact_system(rng, m, rank=rank))
+            basis = rational_nullspace(matrix)
+            assert basis == reference_nullspace(matrix)
+            assert len(basis) == 2 * m - (m if rank is None else rank)
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            ([], []),
+            ([[qc(0)] * 3] * 2, [[qc(int(i == j)) for j in range(3)] for i in range(3)]),
+            ([[qc(1, 1), qc(2)]], [[qc(-1, 1), qc(1)]]),  # a non-real pivot
+        ],
+        ids=["empty", "zero", "complex-pivot"],
+    )
+    def test_edge_cases(self, matrix, expected):
+        assert rational_nullspace(matrix) == expected == reference_nullspace(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix", [[[1, 2], [1]], [[1], [1, 2]], [[0], [1, 2]]], ids=["short", "long", "zero-then-long"]
+    )
+    def test_ragged_rows_rejected(self, matrix):
+        with pytest.raises(DimensionMismatch, match="row 1 has"):
+            rational_nullspace([[qc(value) for value in row] for row in matrix])
 
 
 class TestSampleStream:
