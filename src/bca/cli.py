@@ -116,7 +116,12 @@ _DIGIT_CAP = 10**_MAX_DIGITS
 _NUMBER = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)(\d+))?)\s*")
 
 
-def _parse_string(value: str, where: str) -> Fraction | None:
+def _field(where: str, indices) -> str:
+    """The name of a field: ``where``, then each index in brackets."""
+    return where + "".join(f"[{i}]" for i in indices)
+
+
+def _parse_string(value: str, where: str, *indices: int) -> Fraction | None:
     """The exact value of a number string, or None if it is over the cap.
 
     Zeros that carry no value are dropped first: leading zeros of the
@@ -128,7 +133,7 @@ def _parse_string(value: str, where: str) -> Fraction | None:
     match = _NUMBER.fullmatch(value)
     if not match or match[3] is not None and not match[3].lstrip("0"):  # no number, or over 0
         shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
-        raise FileFormatError(f"{where}: bad rational string {shown}")
+        raise FileFormatError(f"{_field(where, indices)}: bad rational string {shown}")
     sign, whole, den, frac, exp_sign, exp = match.groups()
     whole, den, exp = whole.lstrip("0"), (den or "1").lstrip("0"), (exp or "").lstrip("0")
     frac = (frac or "").rstrip("0")
@@ -139,27 +144,29 @@ def _parse_string(value: str, where: str) -> Fraction | None:
     return Fraction(-numerator if sign == "-" else numerator, int(den) * 10 ** max(-shift, 0))
 
 
-def _parse_part(value, where: str) -> tuple[Fraction, float]:
+def _parse_part(value, where: str, *indices: int) -> tuple[Fraction, float]:
     """A real number of the input, exactly, and its nearest double: ints, floats
     and "p/q" strings convert to Fraction without rounding.  A string is
-    judged by its value, so zeros that carry no value count toward no limit."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise FileFormatError(f"{where}: value must be finite")
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-    part = _parse_string(value, where) if isinstance(value, str) else Fraction(value)
-    if part is None or max(abs(part.numerator), part.denominator) >= _DIGIT_CAP:
-        raise FileFormatError(f"{where}: exact value has more than {_MAX_DIGITS} digits")
-    try:  # a float is its own double (+ 0.0 drops a zero's sign, as Fraction does)
-        return part, value + 0.0 if isinstance(value, float) else float(part)
-    except OverflowError:
-        raise FileFormatError(f"{where}: value out of double range") from None
+    judged by its value, so zeros that carry no value count toward no limit.
+    The field, ``where`` indexed by ``indices``, is named only in an error."""
+    if isinstance(value, float) and math.isfinite(value):  # a double is in range and far inside the cap
+        return Fraction(value), value + 0.0  # + 0.0 drops a zero's sign, as Fraction does
+    problem = "value must be finite" if isinstance(value, float) else "expected a number or 'p/q' string"
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        part = _parse_string(value, where, *indices) if isinstance(value, str) else Fraction(value)
+        problem = f"exact value has more than {_MAX_DIGITS} digits"
+        if part is not None and max(abs(part.numerator), part.denominator) < _DIGIT_CAP:
+            try:
+                return part, float(part)
+            except OverflowError:
+                problem = "value out of double range"
+    raise FileFormatError(f"{_field(where, indices)}: {problem}")
 
 
-def _parse_complex(value, where: str) -> tuple[tuple[Fraction, Fraction], complex]:
+def _parse_complex(value, where: str, k: int) -> tuple[tuple[Fraction, Fraction], complex]:
     if not isinstance(value, list) or len(value) != 2:
-        raise FileFormatError(f"{where}: complex values are [re, im] pairs")
-    (re, re_double), (im, im_double) = (_parse_part(part, f"{where}[{k}]") for k, part in enumerate(value))
+        raise FileFormatError(f"{where}[{k}]: complex values are [re, im] pairs")
+    (re, re_double), (im, im_double) = _parse_part(value[0], where, k, 0), _parse_part(value[1], where, k, 1)
     return (re, im), complex(re_double, im_double)
 
 
@@ -183,7 +190,7 @@ def _parse_order(data: dict) -> int:
 def _parse_values(values, m: int, where: str) -> list[tuple[tuple[Fraction, Fraction], complex]]:
     if not isinstance(values, list) or len(values) != m:
         raise FileFormatError(f"{where}: expected a list of {m} values")
-    return [_parse_complex(value, f"{where}[{k}]") for k, value in enumerate(values)]
+    return [_parse_complex(value, where, k) for k, value in enumerate(values)]
 
 
 def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
@@ -331,9 +338,13 @@ def _input_section(s: _Subject) -> dict:
     return {"input": {"digest": hashlib.sha256(s.raw).hexdigest(), "m": m}}
 
 
+def _fields(obj) -> dict:  # a dataclass's fields by name, in order, not copied as dataclasses.asdict copies them
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def _thetas_section(s: _Subject) -> dict:
     """The regularity report without its verdicts, in field order."""
-    fields = dataclasses.asdict(s.reg)
+    fields = _fields(s.reg)
     del fields["regular"], fields["regular_strict"]
     return {
         "thetas": {
@@ -369,7 +380,7 @@ def _identities_section(s: _Subject) -> dict:
 _SECTIONS = {
     "header": lambda s: {"tool": _TOOL, "command": s.args.command},
     "input": _input_section,
-    "tolerances": lambda s: {"tolerances": dataclasses.asdict(s.tol)},
+    "tolerances": lambda s: {"tolerances": _fields(s.tol)},
     "m": lambda s: {"m": s.args.m},
     "sampling": lambda s: {"samples": s.args.samples, "seed": s.args.seed},
     "orders": lambda s: {"orders": list(s.normalized.orders)},

@@ -139,7 +139,8 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
 
     After each step the pivot columns are p I on the pivot rows and 0
     elsewhere, so a step updates only the columns that are not pivots,
-    and the pivot block is set to d I once at the end.
+    and the pivot block is set to d I once at the end.  A row x with
+    ``x[col] = 0`` is left as it is when p = prev: ``(p x - 0) / prev = x``.
     """
     rows = [list(row) for row in rows]
     pivots: list[int] = []
@@ -156,9 +157,9 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
         pivots.append(col)
         live.remove(col)
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             fr, fi = row[col]
+            if i == r or not (fr or fi) and top[col] == prev:
+                continue
             for c in live:
                 (xr, xi), (yr, yi) = row[c], top[c]
                 row[c] = _exact_quotient(

@@ -28,19 +28,20 @@ every boundary vector: that is the certificate a suite reports as
 ``passed``.  The reported defect is the largest value of D at drawn
 boundary vectors.  The dissipativity spot-check scales each condition row
 to Gaussian integers, eliminates by Bareiss's fraction-free Gauss-Jordan
-method (every division exact and checked) to the RREF null-space basis
-times one Gaussian integer, reads F by its 2m nonzeros and draws weights
-only on the support of the restricted form, so a zero form draws nothing.
+method (every division exact and checked; a row is skipped when its update
+is itself) to the RREF null-space basis times one Gaussian integer, reads
+F by its 2m nonzeros and draws weights only on the support of the
+restricted form, so a zero form draws nothing.
 Every sampling loop draws one vector at a time, evaluates it and drops
 it, so memory does not grow with the sample count.  RationalComplex serves
 only the reference route and :func:`rational_nullspace`.  Nothing here
 imports numpy.
 
 Sampling is driven by a counter-based generator (SHA-256 of
-``seed:tag:index``), so samples are independent of evaluation order and
-reproducible across platforms.  Both identity suites sample the same
-boundary vectors; :func:`verify_identities` runs both in one loop that
-draws each vector once.
+``seed:tag:part``, one hash object per part copied from the hashed
+prefix), so samples are independent of evaluation order and reproducible
+across platforms.  Both identity suites sample the same boundary vectors;
+:func:`verify_identities` runs both in one loop that draws each vector once.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ class BoundaryVector:
     components: tuple[RationalComplex, ...]
 
     def __post_init__(self) -> None:
+        exact._check_order(self.m)
         if len(self.components) != 2 * self.m:
             raise BadShape(
                 f"boundary vector of order {self.m} needs {2 * self.m} components"
@@ -322,11 +324,12 @@ def l0_inner_product(y: RationalComplexPolynomial, m: int) -> RationalComplex:
     return RationalComplex(*_minus_i_power(m)) * product.integral_unit_interval()
 
 
-def _digest_draw(digest: bytes) -> tuple[int, int]:
-    return int.from_bytes(digest[:4], "big") % 19 - 9, digest[4] % 4 + 1
-
-
 STREAM_SCALE = 12  # lcm of the stream's denominators 1..4
+
+
+def _digest_draw(digest: bytes) -> int:
+    """A part of the stream, ``(digest[:4] % 19 - 9) / (digest[4] % 4 + 1)``, times ``STREAM_SCALE``."""
+    return (int.from_bytes(digest[:4], "big") % 19 - 9) * (12, 6, 4, 3)[digest[4] & 3]
 
 
 def _scaled_draws(seed: int, tag: str, indices) -> list[Gaussian]:
@@ -335,14 +338,13 @@ def _scaled_draws(seed: int, tag: str, indices) -> list[Gaussian]:
     the stream comes from the SHA-256 digest of ``seed:tag:p``; draw j is
     parts 2j (real) and 2j + 1 (imaginary)."""
     prefix = hashlib.sha256(f"{seed}:{tag}:".encode())  # each part's key, less the part
-    parts = []
+    draws = []
     for index in indices:
-        for part in (2 * index, 2 * index + 1):
-            draw = prefix.copy()
-            draw.update(str(part).encode())
-            numerator, denominator = _digest_draw(draw.digest())
-            parts.append(numerator * (STREAM_SCALE // denominator))
-    return list(zip(parts[::2], parts[1::2]))
+        re, im = prefix.copy(), prefix.copy()
+        re.update(b"%d" % (2 * index))
+        im.update(b"%d" % (2 * index + 1))
+        draws.append((_digest_draw(re.digest()), _digest_draw(im.digest())))
+    return draws
 
 
 def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
@@ -352,6 +354,7 @@ def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
 
 
 def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
+    exact._check_order(m)
     components = tuple(random_rational_complex(seed, f"bv{index}", j) for j in range(2 * m))
     return BoundaryVector(m=m, components=components)
 

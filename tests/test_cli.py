@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import io
 import json
+import struct
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
@@ -379,6 +380,26 @@ class TestParsePart:
     def test_value_beyond_the_double_range_names_its_field(self, value, message):
         with pytest.raises(cli.FileFormatError, match=rf"^conditions\[0\]\.a\[0\]\[1\]: {message}$"):
             cli._parse_part(value, "conditions[0].a[0][1]")
+
+    @pytest.mark.parametrize("text", ["-0.0", "5e-324", "0.1", "1.7e308"])
+    def test_json_float_keeps_its_fraction_and_its_double(self, text):
+        # through the whole parser: the exact part is the float's own value,
+        # and its double is the float bit for bit (-0.0 comes back as 0.0)
+        value = json.loads(text)
+        system = cli.parse_condition_data(json.loads(f'{{"m": 1, "conditions": [{{"a": [[1, {text}]], "b": [[{text}, 0]]}}]}}'))
+        assert system.exact == (((1, Fraction(value)), (Fraction(value), 0)),)
+        doubles = [part for z in system.coeffs[0] for part in (z.real, z.imag)]
+        assert struct.pack("<4d", *doubles) == struct.pack("<4d", 1.0, value + 0.0, value + 0.0, 0.0)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("j, k, p", [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_non_finite_json_names_its_field(self, literal, j, k, p):
+        rows = [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]
+        rows[j][k][p] = "@"
+        text = json.dumps({"m": 2, "conditions": [{"a": row, "b": [[0, 0], [0, 0]]} for row in rows]})
+        data = json.loads(text.replace('"@"', literal))  # json.loads accepts these literals
+        with pytest.raises(cli.FileFormatError, match=rf"^conditions\[{j}\]\.a\[{k}\]\[{p}\]: value must be finite$"):
+            cli.parse_condition_data(data)
 
     def test_underflowing_row_still_names_its_row(self):
         # every part parses, to a double of 0.0, and the row is refused whole

@@ -25,6 +25,10 @@ CASES = [
     pytest.param(lambda: exact.boundary_block(0), BadShape, id="closed-form-order"),
     pytest.param(lambda: ordered_roots(0), BadShape, id="ordered-roots-order"),
     pytest.param(lambda: hermite_interpolant(0, BoundaryVector(0, ())), BadShape, id="hermite-order"),
+    # BoundaryVector(0, ()) is refused on its own, so give hermite_interpolant a valid target
+    pytest.param(
+        lambda: hermite_interpolant(0, polyoracle.random_boundary_vector(1, 0, 0)), BadShape, id="hermite-order-valid-target"
+    ),
     pytest.param(
         lambda: hermite_interpolant(2, polyoracle.random_boundary_vector(1, 0, 0)),
         DimensionMismatch,
@@ -32,6 +36,9 @@ CASES = [
     ),
     pytest.param(lambda: l0_inner_product(RationalComplexPolynomial([]), 0), BadShape, id="l0-order"),
     pytest.param(lambda: BoundaryVector(2, ()), BadShape, id="boundary-vector-length"),
+    pytest.param(lambda: BoundaryVector(True, (polyoracle.QC_ZERO,) * 2), BadShape, id="boundary-vector-order-bool"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(2.0, 0, 0), BadShape, id="random-vector-order-float"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(0, 0, 0), BadShape, id="random-vector-order-zero"),
     pytest.param(lambda: verify_boundary_form_identity(17, 1, 0), BadShape, id="identity-order"),
     pytest.param(lambda: sample_dissipativity(helpers.dirichlet_m2(), 0, 0), InvalidInput, id="sample-count"),
     # counts and orders follow cli._parse_order's rule: no bool, no non-integer

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -640,6 +641,42 @@ class TestBareiss:
         assert integer_rows[0] == [(0, 0), (4, 2), (1, 0), (2, 0)]  # scaled by lcm 2
         assert exact._bareiss(integer_rows)[0][0][0] != (0, 0)
 
+    @staticmethod
+    def count_updates(monkeypatch):
+        # every entry a step rewrites goes through one checked division
+        calls = []
+        quotient = exact._exact_quotient
+        monkeypatch.setattr(exact, "_exact_quotient", lambda a, b: calls.append(b) or quotient(a, b))
+        return calls
+
+    @staticmethod
+    def full_updates(m):
+        # a step that rewrites every other row: m - 1 rows times the 2m - k - 1 columns still live after step k
+        return sum((m - 1) * (2 * m - k - 1) for k in range(m))
+
+    @pytest.mark.parametrize(
+        "system",
+        [helpers.dirichlet_m2(), helpers.neumann_m2(), helpers.periodic_m2()]
+        + [helpers.odd_irregular(n) for n in range(1, 5)]
+        + [sparse_systems(np.random.default_rng(70), 6)[-1]],
+        ids=["dirichlet", "neumann", "periodic", "odd-n1", "odd-n2", "odd-n3", "odd-n4", "two-thirds-zero"],
+    )
+    def test_rows_that_stay_unchanged_are_skipped(self, monkeypatch, system):
+        # a zero multiplier under a pivot equal to the last one leaves the
+        # row as it is; m = 1 has no other row to update at all
+        calls = self.count_updates(monkeypatch)
+        self.assert_matches_rref(system)
+        assert len(calls) < self.full_updates(system.m) if system.m > 1 else not calls
+
+    def test_changing_pivots_update_every_row(self, monkeypatch):
+        system = helpers.random_system(np.random.default_rng(78), 8)
+        calls = self.count_updates(monkeypatch)
+        self.assert_matches_rref(system)
+        assert len(calls) == self.full_updates(8)
+        # each step divides by the pivot before it, and no two in a row are equal
+        divisors = [calls[0]] + [b for a, b in zip(calls, calls[1:]) if a != b]
+        assert len(divisors) == 8 and divisors[0] == (1, 0)
+
     def test_zero_matrix_has_no_pivots(self):
         assert exact._bareiss([[(0, 0)] * 3] * 2) == ([[(0, 0)] * 3] * 2, [], (1, 0))
 
@@ -716,6 +753,25 @@ class TestSampleStream:
         assert list(polyoracle._scaled_draws(seed, tag, range(size))) == draws
         assert list(polyoracle._scaled_draws(seed, tag, (size - 1, 0))) == [draws[-1], draws[0]]
         assert polyoracle.random_rational_complex(seed, tag, size - 1) == qc(*last)
+
+    @staticmethod
+    def reference_draws(seed, tag, indices):
+        # the stream from its definition: part p is the SHA-256 digest of
+        # "seed:tag:p", numerator int(digest[:4]) % 19 - 9 over denominator
+        # digest[4] % 4 + 1, here times 12; draw j is parts 2j and 2j + 1
+        def part(p):
+            digest = hashlib.sha256(f"{seed}:{tag}:{p}".encode()).digest()
+            return (int.from_bytes(digest[:4], "big") % 19 - 9) * 12 // (digest[4] % 4 + 1)
+
+        return [(part(2 * j), part(2 * j + 1)) for j in indices]
+
+    @pytest.mark.parametrize("seed", [0, -4, 7, 10**20])
+    @pytest.mark.parametrize("tag", ["bv0", "ns12"])
+    def test_scaled_draws_equal_the_reference(self, seed, tag):
+        # parts 0..121 have 1, 2 and 3 digits
+        assert polyoracle._scaled_draws(seed, tag, range(61)) == self.reference_draws(seed, tag, range(61))
+        unsorted = [42, 3, 60, 0, 3, 17, 9]
+        assert polyoracle._scaled_draws(seed, tag, unsorted) == self.reference_draws(seed, tag, unsorted)
 
     @pytest.mark.parametrize("m", [1, 3, 16])
     @pytest.mark.parametrize("entry", [0, -1], ids=["first", "last"])
