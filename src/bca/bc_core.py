@@ -31,10 +31,6 @@ def _binary_scaled_rows(coeffs: np.ndarray) -> np.ndarray:
     return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
 
 
-def _fraction(part) -> Fraction:
-    return part if type(part) is Fraction else Fraction(part)  # a Fraction is kept, not rebuilt
-
-
 @dataclass(frozen=True)
 class BoundaryConditionSystem:
     """Order ``m`` plus the ``m x 2m`` coefficient matrix ``[A | B]``."""
@@ -57,8 +53,12 @@ class BoundaryConditionSystem:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
-            pairs = tuple(tuple((_fraction(re), _fraction(im)) for re, im in row) for row in self.exact)
-            rounded = [[complex(float(re), float(im)) for re, im in row] for row in pairs]
+            pairs = tuple(  # a Fraction part is kept, not rebuilt
+                tuple((re if type(re) is Fraction else Fraction(re), im if type(im) is Fraction else Fraction(im))
+                      for re, im in row) for row in self.exact)
+            # int true division rounds correctly, so each double is float() of its part
+            rounded = [[complex(re.numerator / re.denominator, im.numerator / im.denominator) for re, im in row]
+                       for row in pairs]
             if rounded != coeffs.tolist():
                 raise BadShape("exact coefficients must round to coeffs")
             object.__setattr__(self, "exact", pairs)

@@ -47,27 +47,30 @@ class FileFormatError(InvalidInput):
 # deterministic serialization
 
 
+_KINDS = (type(None), bool, int, float, str, Fraction, list, tuple, dict)  # the types the writer knows
+
+
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON text with insertion-order keys and fixed float formatting."""
-    pad = "  " * indent
-    if obj is None or isinstance(obj, int):  # written as json.dumps writes them; bool is an int
-        return "null" if obj is None else ("false", "true")[obj] if isinstance(obj, bool) else int.__repr__(obj)
-    if isinstance(obj, float):
+    kind = type(obj)
+    if kind not in _KINDS:  # a subclass is written as the first of them it is an instance of
+        kind = next((base for base in _KINDS if isinstance(obj, base)), None)
+    if kind is float:
         return format(float(obj), ".17g")
-    if isinstance(obj, (str, Fraction)):
+    if kind is str or kind is Fraction:
         return _quote(str(obj))
-    if isinstance(obj, (list, tuple)):
-        items = [dumps_deterministic(v, indent) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        inner = "  " * (indent + 1)
-        parts = [
-            f"{inner}{_quote(str(k))}: {dumps_deterministic(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        if not parts:
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([dumps_deterministic(v, indent) for v in obj]) + "]"
+    if kind is dict:
+        if not obj:
             return "{}"
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        inner = "  " * (indent + 1)
+        parts = [f"{inner}{_quote(str(k))}: {dumps_deterministic(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+    if kind is int:  # written as json.dumps writes them
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else ("false", "true")[obj]
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -121,8 +124,15 @@ def _field(where: str, indices) -> str:
     return where + "".join(f"[{i}]" for i in indices)
 
 
-def _parse_string(value: str, where: str, *indices: int) -> Fraction | None:
-    """The exact value of a number string, or None if it is over the cap.
+def _ratio(numerator: int, denominator: int) -> tuple[Fraction, float] | None:
+    """The ratio and its double (int true division rounds correctly), or None over the cap."""
+    part = Fraction(numerator, denominator)
+    return None if max(abs(part.numerator), part.denominator) >= _DIGIT_CAP else (part, numerator / denominator)
+
+
+def _parse_string(value: str, where: str, *indices: int) -> tuple[Fraction, float] | None:
+    """The exact value of a number string and its double, or None if it is
+    over the cap.
 
     Zeros that carry no value are dropped first: leading zeros of the
     integer part, the denominator and the exponent, and trailing zeros of
@@ -135,13 +145,18 @@ def _parse_string(value: str, where: str, *indices: int) -> Fraction | None:
         shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
         raise FileFormatError(f"{_field(where, indices)}: bad rational string {shown}")
     sign, whole, den, frac, exp_sign, exp = match.groups()
-    whole, den, exp = whole.lstrip("0"), (den or "1").lstrip("0"), (exp or "").lstrip("0")
-    frac = (frac or "").rstrip("0")
-    if max(len(whole), len(den), len(frac), len(exp)) > _MAX_DIGITS or int(exp or 0) > 2 * _MAX_DIGITS:
+    whole, den = whole.lstrip("0"), (den or "1").lstrip("0")
+    if frac is None and exp is None:  # "p" or "p/q": two runs within the cap keep its value within it
+        if max(len(whole), len(den)) > _MAX_DIGITS:
+            return None
+        numerator, denominator = int(sign + (whole or "0")), int(den)
+        return Fraction(numerator, denominator), numerator / denominator
+    frac, exp = (frac or "").rstrip("0"), (exp or "").lstrip("0")
+    if max(len(whole), len(frac), len(exp)) > _MAX_DIGITS or int(exp or 0) > 2 * _MAX_DIGITS:
         return None
     shift = (-1 if exp_sign == "-" else 1) * int(exp or 0) - len(frac)
     numerator = (int(whole or 0) * 10 ** len(frac) + int(frac or 0)) * 10 ** max(shift, 0)
-    return Fraction(-numerator if sign == "-" else numerator, int(den) * 10 ** max(-shift, 0))
+    return _ratio(-numerator if sign == "-" else numerator, 10 ** max(-shift, 0))
 
 
 def _parse_part(value, where: str, *indices: int) -> tuple[Fraction, float]:
@@ -153,21 +168,14 @@ def _parse_part(value, where: str, *indices: int) -> tuple[Fraction, float]:
         return Fraction(value), value + 0.0  # + 0.0 drops a zero's sign, as Fraction does
     problem = "value must be finite" if isinstance(value, float) else "expected a number or 'p/q' string"
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        part = _parse_string(value, where, *indices) if isinstance(value, str) else Fraction(value)
         problem = f"exact value has more than {_MAX_DIGITS} digits"
-        if part is not None and max(abs(part.numerator), part.denominator) < _DIGIT_CAP:
-            try:
-                return part, float(part)
-            except OverflowError:
-                problem = "value out of double range"
+        try:
+            parsed = _parse_string(value, where, *indices) if isinstance(value, str) else _ratio(value, 1)
+            if parsed is not None:
+                return parsed
+        except OverflowError:
+            problem = "value out of double range"
     raise FileFormatError(f"{_field(where, indices)}: {problem}")
-
-
-def _parse_complex(value, where: str, k: int) -> tuple[tuple[Fraction, Fraction], complex]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise FileFormatError(f"{where}[{k}]: complex values are [re, im] pairs")
-    (re, re_double), (im, im_double) = _parse_part(value[0], where, k, 0), _parse_part(value[1], where, k, 1)
-    return (re, im), complex(re_double, im_double)
 
 
 def _load_json(raw: bytes, path: str) -> dict:
@@ -187,10 +195,18 @@ def _parse_order(data: dict) -> int:
     return m
 
 
-def _parse_values(values, m: int, where: str) -> list[tuple[tuple[Fraction, Fraction], complex]]:
+def _parse_values(values, m: int, where: str, exact: list) -> list[complex]:
+    """The m [re, im] values as complex doubles; each one's Fraction pair is appended to ``exact``."""
     if not isinstance(values, list) or len(values) != m:
         raise FileFormatError(f"{where}: expected a list of {m} values")
-    return [_parse_complex(value, where, k) for k, value in enumerate(values)]
+    doubles = []
+    for k, value in enumerate(values):
+        if not isinstance(value, list) or len(value) != 2:
+            raise FileFormatError(f"{where}[{k}]: complex values are [re, im] pairs")
+        (re, re_double), (im, im_double) = _parse_part(value[0], where, k, 0), _parse_part(value[1], where, k, 1)
+        exact.append((re, im))
+        doubles.append(complex(re_double, im_double))
+    return doubles
 
 
 def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
@@ -200,16 +216,13 @@ def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
     conditions = data.get("conditions")
     if not isinstance(conditions, list) or len(conditions) != m:
         raise FileFormatError(f"conditions: expected a list of {m} rows")
-    parsed = []
+    exact, rounded = [], []
     for j, row in enumerate(conditions):
         where = f"conditions[{j}]"
         if not isinstance(row, dict):
             raise FileFormatError(f"{where}: expected an object with 'a' and 'b'")
-        parsed.append(
-            _parse_values(row.get("a"), m, f"{where}.a") + _parse_values(row.get("b"), m, f"{where}.b")
-        )
-    exact = [[pair for pair, _ in row] for row in parsed]
-    rounded = [[z for _, z in row] for row in parsed]
+        exact.append([])
+        rounded.append([z for half in "ab" for z in _parse_values(row.get(half), m, f"{where}.{half}", exact[-1])])
     for j, (exact_row, row) in enumerate(zip(exact, rounded)):
         if any(re or im for re, im in exact_row) and not any(row):
             raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
@@ -223,7 +236,7 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     rows = data.get("V")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
-    matrix = [[z for _, z in _parse_values(row, m, f"V[{j}]")] for j, row in enumerate(rows)]
+    matrix = [_parse_values(row, m, f"V[{j}]", []) for j, row in enumerate(rows)]
     from . import contraction
     try:
         return contraction.ContractionParametrization(m=m, V=matrix)

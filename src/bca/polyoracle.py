@@ -385,7 +385,7 @@ def _sparse_imaginary_form(m: int) -> tuple[SparseRows, int]:
 
 def _form_value(terms, w) -> int:
     """``Re(w K w*)`` from the nonzero entries ``(a, b, K[a][b])``, a <= b, of
-    a Hermitian K, those off the diagonal doubled; ``w`` maps index to weight."""
+    a Hermitian K, those off the diagonal doubled; ``w`` is the draw list, indexed by position in the support."""
     total = 0
     for a, b, (kr, ki) in terms:
         (ar, ai), (br, bi) = w[a], w[b]
@@ -511,8 +511,10 @@ def sample_dissipativity(
     upper = {(a, b): _gaussian_dot(images[a], basis[b]) for a in range(m) for b in range(a, m)}
     terms = [(a, b, (re, im) if a == b else (2 * re, 2 * im)) for (a, b), (re, im) in upper.items() if re or im]
     support = sorted({index for a, b, _ in terms for index in (a, b)})
-    weights = (dict(zip(support, _scaled_draws(seed, f"ns{index}", support))) for index in range(sample_count))
-    least = min(_form_value(terms, w) for w in weights) if support else 0  # K = 0 draws nothing
+    position = {index: k for k, index in enumerate(support)}  # terms index the draws by position in the support
+    terms = [(position[a], position[b], value) for a, b, value in terms]
+    draws = (_scaled_draws(seed, f"ns{index}", support) for index in range(sample_count))
+    least = min(_form_value(terms, w) for w in draws) if support else 0  # K = 0 draws nothing
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
     return DissipativitySampleReport(
         all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -59,6 +60,31 @@ class TestValidate:
         system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[[(1, "0"), (part, Fraction(-4, 5))]])
         assert system.exact[0][1][0] is part
         assert [type(value) for pair in system.exact[0] for value in pair] == [Fraction] * 4
+
+    @pytest.mark.parametrize(
+        "part",
+        [0, -0.0, Fraction(5e-324), Fraction(10**400 + 1, 10**400), Fraction(int("7" * 4300), 3 * 10**4299),
+         Fraction(-1, 3), Fraction(1.7e308), Fraction(2**53 + 3, 2**53), Fraction(2**53 + 1, 2**53)],
+        ids=["zero", "negative-zero", "least-subnormal", "one-past-1e400", "4300-digits", "third", "1.7e308",
+             "odd-halfway", "even-halfway"],
+    )
+    def test_exact_parts_must_round_to_their_doubles(self, part):
+        # each exact part rounds to float(Fraction(part)), ties to even; a
+        # double one ulp off it on either side is refused, and so is the
+        # exact value of a neighbouring double
+        double = float(Fraction(part))
+        exact = [[(part, -part), (1, 0)]]
+        system = BoundaryConditionSystem(1, [[complex(double, -double), 1]], exact=exact)
+        assert system.exact == (((Fraction(part), -Fraction(part)), (1, 0)),)
+        if double == 0:  # -0.0 equals 0.0, so a zero part also rounds to a coefficient of -0.0
+            BoundaryConditionSystem(1, [[complex(-0.0, -0.0), 1]], exact=exact)
+        for off in (math.nextafter(double, math.inf), math.nextafter(double, -math.inf)):
+            with pytest.raises(BadShape, match="round to coeffs"):
+                BoundaryConditionSystem(1, [[complex(off, -double), 1]], exact=exact)
+            with pytest.raises(BadShape, match="round to coeffs"):
+                BoundaryConditionSystem(1, [[complex(double, -off), 1]], exact=exact)
+            with pytest.raises(BadShape, match="round to coeffs"):
+                BoundaryConditionSystem(1, [[complex(double, -double), 1]], exact=[[(Fraction(off), -part), (1, 0)]])
 
 
 class TestNormalize:

@@ -1,7 +1,11 @@
 import builtins
+import collections
+import enum
 import hashlib
 import io
 import json
+import math
+import random
 import struct
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -12,7 +16,7 @@ import pytest
 
 import helpers
 from bca import bc_core, cli, numerics, polyoracle
-from bca.cli import main
+from bca.cli import _DIGIT_CAP, _MAX_DIGITS, _NUMBER, FileFormatError, _field, main
 
 
 def run_cli(argv):
@@ -408,6 +412,198 @@ class TestParsePart:
         with pytest.raises(cli.FileFormatError, match=r"^conditions\[0\]: nonzero row underflows"):
             cli.parse_condition_data(lost)
 
+    def test_malformed_row_after_an_underflowing_one_is_named(self):
+        # every row parses before any is checked for underflow
+        zero = [["0", "0"], ["0", "0"]]
+        rows = [{"a": [["1e-400", "0"], ["0", "0"]], "b": zero}, {"a": zero, "b": [["1", "0"], ["0", "1/0"]]}]
+        with pytest.raises(cli.FileFormatError, match=r"^conditions\[1\]\.b\[1\]\[1\]: bad rational string '1/0'$"):
+            cli.parse_condition_data({"m": 2, "conditions": rows})
+
+
+# The number parser as it stood before it built each part's numerator and
+# denominator once: the reference that TestParserReference compares with.
+
+
+def _parse_string(value: str, where: str, *indices: int) -> Fraction | None:
+    """The exact value of a number string, or None if it is over the cap.
+
+    Zeros that carry no value are dropped first: leading zeros of the
+    integer part, the denominator and the exponent, and trailing zeros of
+    the fractional part.  Then a digit run longer than _MAX_DIGITS is over
+    the cap, and so is an exponent past 2 _MAX_DIGITS, where any nonzero
+    mantissa within the limit leaves a part over the cap (even on a zero).
+    Both are judged on the string, before 10^e is expanded."""
+    match = _NUMBER.fullmatch(value)
+    if not match or match[3] is not None and not match[3].lstrip("0"):  # no number, or over 0
+        shown = repr(value[:40]) + (f" ({len(value)} characters)" if len(value) > 40 else "")
+        raise FileFormatError(f"{_field(where, indices)}: bad rational string {shown}")
+    sign, whole, den, frac, exp_sign, exp = match.groups()
+    whole, den, exp = whole.lstrip("0"), (den or "1").lstrip("0"), (exp or "").lstrip("0")
+    frac = (frac or "").rstrip("0")
+    if max(len(whole), len(den), len(frac), len(exp)) > _MAX_DIGITS or int(exp or 0) > 2 * _MAX_DIGITS:
+        return None
+    shift = (-1 if exp_sign == "-" else 1) * int(exp or 0) - len(frac)
+    numerator = (int(whole or 0) * 10 ** len(frac) + int(frac or 0)) * 10 ** max(shift, 0)
+    return Fraction(-numerator if sign == "-" else numerator, int(den) * 10 ** max(-shift, 0))
+
+
+def _parse_part(value, where: str, *indices: int) -> tuple[Fraction, float]:
+    """A real number of the input, exactly, and its nearest double: ints, floats
+    and "p/q" strings convert to Fraction without rounding.  A string is
+    judged by its value, so zeros that carry no value count toward no limit.
+    The field, ``where`` indexed by ``indices``, is named only in an error."""
+    if isinstance(value, float) and math.isfinite(value):  # a double is in range and far inside the cap
+        return Fraction(value), value + 0.0  # + 0.0 drops a zero's sign, as Fraction does
+    problem = "value must be finite" if isinstance(value, float) else "expected a number or 'p/q' string"
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        part = _parse_string(value, where, *indices) if isinstance(value, str) else Fraction(value)
+        problem = f"exact value has more than {_MAX_DIGITS} digits"
+        if part is not None and max(abs(part.numerator), part.denominator) < _DIGIT_CAP:
+            try:
+                return part, float(part)
+            except OverflowError:
+                problem = "value out of double range"
+    raise FileFormatError(f"{_field(where, indices)}: {problem}")
+
+
+_SPECIAL_VALUES = [
+    "1_0", "٣", "１", "0x10", "1 /2", "1/ 2", "00/00", "1/0", "0/0", "-0/7", "007/014", "", " ", "-", "+",
+    ".", "5.", ".5", "-.5e-1", "e5", "1e", "1e+", "1.2.3", "1/2/3", "--1", "+-1", "inf", "-inf", "nan", "NaN",
+    "Infinity", "٣/٧", "１/２", "0.0", "-0", "-0.0e0", "1e8600", "1e8601", "0e8601", "0e8600",
+    "1e-8600", "1e-8601", "1e-4300", "1e4299", "1e4300", "1e308", "1.7976931348623157e308", "1.7976931348623159e308",
+    "2.5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "4.9406564584124654e-324",
+    "9007199254740993", "9007199254740993/9007199254740992", " \t-22/7\n", " +1/3 ", " 1 ",
+    True, False, None, [], {}, [1, 2], 2**53 + 1, -(2**53) - 1, 2**1024, -(2**1023) * 3, 10**308 * 2, 10**4299,
+    10**4300, -(10**4300) + 1, float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 5e-324, 1.7e308, -2.5e-17,
+]
+
+
+def _digit_run(rng, length: int) -> str:
+    return "".join(rng.choices("0123456789", k=length))
+
+
+def _run_length(rng) -> int:
+    if rng.random() < 0.02:
+        return rng.choice([4299, 4300, 4301, 4302])
+    return rng.choice([1, 1, 2, 3, 5, 8, 16, 17, 18, 30, 309, 330])
+
+
+def _number_string(rng) -> str:
+    """A number string over the grammar's edges: signs, spaces, zeros that
+    carry no value, fractions, exponents up to 8,601 and runs near the cap."""
+    zeros = lambda: "0" * rng.choice([0, 0, 0, 1, 2, 5, 4400])  # noqa: E731
+    space = lambda: rng.choice(["", "", "", " ", "  ", "\t", "\n", " "])  # noqa: E731
+    sign = rng.choice(["", "", "-", "+"])
+    whole = zeros() + _digit_run(rng, _run_length(rng))
+    shape = rng.randrange(5)
+    if shape == 0:
+        body = whole
+    elif shape == 1:
+        body = whole + "/" + (rng.choice(["0", "00"]) if rng.random() < 0.03 else zeros() + _digit_run(rng, _run_length(rng)))
+    else:
+        frac = _digit_run(rng, _run_length(rng)) + zeros() if shape != 4 else None
+        exponent = rng.choice([0, 1, 5, 17, 300, 308, 309, 323, 324, 325, 400, 4300, 8599, 8600, 8601, rng.randrange(9000)])
+        body = (rng.choice([whole, ""]) if frac else whole) + (f".{frac}" if frac is not None else "")
+        if shape != 2:
+            body += rng.choice("eE") + rng.choice(["", "+", "-"]) + zeros() + str(exponent)
+    return space() + sign + body + space()
+
+
+def _fuzz_value(rng):
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(_SPECIAL_VALUES)
+    if roll < 0.15:
+        return rng.choice([rng.randrange(-10**20, 10**20), rng.randrange(-2**60, 2**60), rng.randrange(10**300, 10**320)])
+    if roll < 0.3:
+        return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+    return _number_string(rng)
+
+
+def _outcome(parse, *args):
+    """What a parser makes of its input: the exact value with its type and
+    the double's type and bits, or the error's type and message."""
+    try:
+        part, double = parse(*args)
+    except cli.FileFormatError as exc:
+        return type(exc), str(exc)
+    return part, type(part), type(double), struct.pack("<d", double)
+
+
+class TestParserReference:
+    """The parser returns what the reference above returns on every value:
+    the same Fraction, the same double bits, the same error message."""
+
+    def test_parse_part_agrees_with_the_reference(self):
+        rng = random.Random(24)
+        values = _SPECIAL_VALUES + [_fuzz_value(rng) for _ in range(20000)]
+        for i, value in enumerate(values):
+            indices = (i % 3, i % 2)
+            assert _outcome(cli._parse_part, value, "f", *indices) == _outcome(_parse_part, value, "f", *indices), value
+
+    @staticmethod
+    def _reference_conditions(data):
+        m = data["m"]
+        exact, doubles = [], []
+        for j, row in enumerate(data["conditions"]):
+            parts = [
+                _parse_part(value[p], f"conditions[{j}].{half}", k, p)
+                for half in "ab" for k, value in enumerate(row[half]) for p in (0, 1)
+            ]
+            exact.append(tuple(zip([part for part, _ in parts][::2], [part for part, _ in parts][1::2])))
+            doubles.append([complex(re, im) for (_, re), (_, im) in zip(parts[::2], parts[1::2])])
+        for j, (exact_row, row) in enumerate(zip(exact, doubles)):
+            if any(re or im for re, im in exact_row) and not any(row):
+                raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
+        return tuple(exact), np.array(doubles).reshape(m, 2 * m)
+
+    @staticmethod
+    def _small_value(rng):
+        if rng.random() < 0.02:
+            return _fuzz_value(rng)
+        return rng.choice([
+            f"{rng.randrange(-9, 10)}/{rng.randrange(1, 10)}", f"{rng.uniform(-2, 2):.3g}", rng.uniform(-1, 1),
+            rng.randrange(-3, 4), f"{rng.randrange(1, 9)}e-{rng.choice([1, 320, 400])}", 0, "0",
+        ])
+
+    def test_condition_data_agrees_with_the_reference(self):
+        rng = random.Random(2024)
+        for _ in range(600):
+            m = rng.randrange(1, 4)
+            rows = [[[[self._small_value(rng), self._small_value(rng)] for _ in range(m)] for _ in "ab"] for _ in range(m)]
+            data = {"m": m, "conditions": [{"a": a, "b": b} for a, b in rows]}
+            try:
+                expected = self._reference_conditions(data)
+            except FileFormatError as exc:
+                with pytest.raises(FileFormatError) as raised:
+                    cli.parse_condition_data(data)
+                assert str(raised.value) == str(exc)
+                continue
+            system = cli.parse_condition_data(data)
+            assert system.exact == expected[0]
+            assert all(type(part) is Fraction for row in system.exact for pair in row for part in pair)
+            assert system.coeffs.tobytes() == expected[1].tobytes()
+
+    def test_contraction_data_agrees_with_the_reference(self):
+        rng = random.Random(42)
+        for _ in range(600):
+            m = rng.randrange(1, 4)
+            rows = [[[self._small_value(rng), self._small_value(rng)] for _ in range(m)] for _ in range(m)]
+            rows = [[[value if rng.random() < 0.9 else "0" for value in pair] for pair in row] for row in rows]
+            data = {"m": m, "V": rows}
+            try:
+                doubles = [
+                    [complex(*[_parse_part(value[p], f"V[{j}]", k, p)[1] for p in (0, 1)]) for k, value in enumerate(row)]
+                    for j, row in enumerate(rows)
+                ]
+                expected = cli.parse_contraction_data({"m": m, "V": [[[z.real, z.imag] for z in row] for row in doubles]})
+            except FileFormatError as exc:
+                with pytest.raises(FileFormatError) as raised:
+                    cli.parse_contraction_data(data)
+                assert str(raised.value) == str(exc)
+                continue
+            assert cli.parse_contraction_data(data).V.tobytes() == expected.V.tobytes()
+
 
 class TestRender:
     @pytest.mark.parametrize(
@@ -422,6 +618,36 @@ class TestRender:
 
     def test_fraction_renders_as_its_string(self):
         assert cli.dumps_deterministic(Fraction(-3, 7)) == '"-3/7"'
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (None, "null"), (True, "true"), (False, "false"), (0, "0"),
+            (-0.0, "-0"), (1e-320, "9.9998886718268301e-321"), (np.float64(0.1), "0.10000000000000001"),
+            ("é中\U0001f600", '"\\u00e9\\u4e2d\\ud83d\\ude00"'), (Fraction(-3, 7), '"-3/7"'),
+            ((1, "a", 2.5), '[1, "a", 2.5]'), ([], "[]"), ({}, "{}"), ([[], [1, [2.0, None]]], "[[], [1, [2, null]]]"),
+            ({"x": [{}]}, '{\n  "x": [{}]\n}'),
+            ({"a": {}, "b": {"c": [1, {"d": False}]}}, '{\n  "a": {},\n  "b": {\n    "c": [1, {\n      "d": false\n    }]\n  }\n}'),
+            # subclasses are written as the type they derive from
+            (enum.IntEnum("Flag", "ON")(1), "1"), (collections.OrderedDict(k=[0.5]), '{\n  "k": [0.5]\n}'),
+            (type("Name", (str,), {"__str__": lambda self: "shown"})("kept"), '"shown"'),
+        ],
+        ids=lambda value: repr(value)[:24],
+    )
+    def test_every_type_renders_as_before(self, value, text):
+        assert cli.dumps_deterministic(value) == text
+
+    def test_long_int_renders_in_full(self):
+        value = 7 * 10**4999
+        assert cli.render_report({"n": value}, "json") == '{\n  "n": 7' + "0" * 4999 + "\n}\n"
+        assert cli.render_report({"n": value}, "text") == "n = 7" + "0" * 4999 + "\n"
+
+    @pytest.mark.parametrize(
+        "value, name", [({1, 2}, "set"), (1j, "complex"), (np.bool_(True), np.bool_.__name__), ([1, {2}], "set")]
+    )
+    def test_other_types_are_refused(self, value, name):
+        with pytest.raises(TypeError, match=rf"^cannot serialize <class '(numpy\.)?{name}'>$"):
+            cli.dumps_deterministic(value)
 
 
 class TestErrorHandling:
