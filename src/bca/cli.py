@@ -338,14 +338,6 @@ class _Subject:
         return [[_complex_pair(z if abs(z) >= 1e-12 else 0.0) for z in row] for row in con.V]
 
 
-def _check_int_flag(args, name: str, what: str, low: int, high: int | None = None) -> None:
-    """Reject an out-of-range option ``--name`` with an error that names it."""
-    value = getattr(args, name)
-    if value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise FileFormatError(f"--{name}: {what} must be {bounds}, got {value}")
-
-
 def _input_section(s: _Subject) -> dict:
     m = s.system.m  # parses, and so rejects, the file before it is hashed
     return {"input": {"digest": hashlib.sha256(s.raw).hexdigest(), "m": m}}
@@ -415,12 +407,6 @@ _SECTIONS = {
         "conditions": system_to_conditions(s.normalized.base),
     },
 }
-# The integer flags each section reads, with their bounds; a report checks
-# them all before it runs any analysis.
-_INT_FLAGS = {
-    "oracle": (("samples", "sample count", 1),),
-    "identities": (("m", "order", 1, polyoracle.MAX_ORDER), ("samples", "sample count", 1)),
-}
 _VERDICTS = {
     "dissipative": lambda s: s.diss.dissipative,
     "selfadjoint": lambda s: s.diss.selfadjoint,
@@ -448,13 +434,40 @@ _REPORTS = {
     "verify": ("header", "m", "sampling", "identities"),
     "example": ("conditions",),
 }
+# The flags each section reads: their argparse settings and, for an
+# integer, its name in an error and its bounds, which a report checks before
+# it runs any analysis.  A subcommand takes the flags of its report's sections.
+_SAMPLING = {
+    "--seed": ({"type": int, "default": 0, "help": "oracle sampling seed"}, None),
+    "--samples": ({"type": int, "default": 25, "help": "oracle sample count"}, ("sample count", 1, math.inf)),
+}
+_FLAGS = {
+    "tolerances": {
+        "--tol": (
+            {"type": float, "help": "override all relative tolerances (default: BCA_TOL or built-ins)"}, None,
+        ),
+    },
+    "m": {
+        "--m": ({"type": int, "required": True, "help": "differential order"}, ("order", 1, polyoracle.MAX_ORDER)),
+    },
+    "sampling": _SAMPLING,
+    "oracle": _SAMPLING,
+}
+
+
+def _flags(command: str) -> dict:
+    """The flags of a subcommand's sections, in report order, each once."""
+    return {flag: spec for section in _REPORTS[command] for flag, spec in _FLAGS.get(section, {}).items()}
 
 
 def _build_report(args, tol: TolerancePolicy) -> dict:
     """The report of the subcommand ``args.command``, section by section."""
-    for section in _REPORTS[args.command]:
-        for flag in _INT_FLAGS.get(section, ()):
-            _check_int_flag(args, *flag)
+    for flag, (_, limits) in _flags(args.command).items():
+        value = getattr(args, flag[2:])
+        if limits and not limits[1] <= value <= limits[2]:
+            what, low, high = limits
+            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise FileFormatError(f"{flag}: {what} must be {bounds}, got {value}")
     subject = _Subject(args, tol)
     report: dict = {}
     for section in _REPORTS[args.command]:
@@ -470,21 +483,6 @@ def _build_report(args, tol: TolerancePolicy) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="override all relative tolerances (default: BCA_TOL or built-ins)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
-    common.add_argument(
-        "--samples", type=int, default=25, help="oracle sample count"
-    )
-
     parser = argparse.ArgumentParser(
         prog="bca",
         description="Dissipativity, self-adjointness and Birkhoff-regularity "
@@ -494,14 +492,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in _REPORTS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "verify":
-            p.add_argument("--m", type=int, required=True, help="differential order")
-        elif name == "example":
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
+        if name == "example":
             p.add_argument("--name", required=True, help="example family name")
             p.add_argument("--n", type=int, required=True, help="family parameter (m = 2n-1)")
-        else:
+        elif name != "verify":
             p.add_argument("file", help="input JSON file")
+        for flag, (settings, _) in _flags(name).items():
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -524,7 +523,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        tol = _resolve_tolerances(args)
+        tol = _resolve_tolerances(args) if "tolerances" in _REPORTS[args.command] else TolerancePolicy()
         report = _build_report(args, tol)
     except ValueError as exc:  # every InvalidInput is one
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 import struct
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -24,6 +25,14 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_parser_exit(argv):
+    """(exit code, stdout, stderr) of a command line the parser rejects."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
 
 
 def write_json(path, payload):
@@ -349,6 +358,62 @@ class TestParser:
             code, out, _ = run_cli(["verify", "--m", "2", "--samples", "1", "--seed", seed])
             assert code == 0
             assert json.loads(out)["seed"] == int(seed)
+
+
+class TestSubcommandFlags:
+    """Each subcommand takes --format, its input and the flags its report's sections read."""
+
+    OPTIONS = {
+        "check": ["--format", "--tol", "--seed", "--samples"],
+        "dissipative": ["--format", "--tol", "--seed", "--samples"],
+        **{
+            command: ["--format", "--tol"]
+            for command in ("normalize", "selfadjoint", "regular", "to-contraction", "from-contraction")
+        },
+        "verify": ["--format", "--m", "--seed", "--samples"],
+        "example": ["--format", "--name", "--n"],
+    }
+    # two values of each flag
+    VALUES = {
+        "--format": ("json", "text"),
+        "--tol": ("1e-9", "1e-6"),
+        "--seed": ("0", "7"),
+        "--samples": ("2", "3"),
+        "--m": ("2", "3"),
+        "--n": ("2", "3"),
+    }
+    # the input flags, and a short run of verify, while another flag varies
+    BASE = {"verify": {"--m": "2", "--samples": "1"}, "example": {"--name": "odd-irregular", "--n": "2"}}
+
+    @staticmethod
+    def help_options(command):
+        """The option strings of the usage line of ``bca command --help``, in order."""
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = out.getvalue().split("\n\n")[0]
+        return re.findall(r"(?<![\w-])--[a-z]+", usage)
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_lists_the_flags_of_its_sections(self, command):
+        assert self.help_options(command) == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_every_flag_changes_the_result(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("BCA_TOL", raising=False)
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        if command == "from-contraction":
+            _, v_text, _ = run_cli(["to-contraction", path])
+            path = write_json(tmp_path / "v.json", json.loads(v_text))
+        inputs = [] if command in self.BASE else [path]
+        for flag in self.help_options(command):
+            if flag == "--name":  # it has one valid value
+                continue
+            results = []
+            for value in self.VALUES[flag]:
+                flags = {**self.BASE.get(command, {}), flag: value}
+                results.append(run_cli([command, *inputs, *[part for item in flags.items() for part in item]]))
+            assert results[0][:2] != results[1][:2], (command, flag)
 
 
 class TestParsePart:
@@ -896,9 +961,10 @@ class TestErrorHandling:
         code, _, err = run_cli(["check", path, "--samples", "0"])
         assert code == 2 and err == "error: --samples: sample count must be >= 1, got 0\n"
         assert calls == []
-        # a subcommand that ignores --samples still ignores it
-        code, _, _ = run_cli(["regular", path, "--samples", "0"])
-        assert code == 0 and len(calls) == 1
+        # a subcommand whose report has no oracle takes no --samples
+        code, out, err = run_parser_exit(["regular", path, "--samples", "0"])
+        assert (code, out) == (2, "") and "unrecognized arguments: --samples 0" in err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -956,18 +1022,20 @@ class TestToleranceFlags:
         code, _, err = run_cli(["check", path, "--tol", "0.5"])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flag, env, source", [(["--tol", "0.5"], None, "--tol"), ([], "abc", "BCA_TOL")], ids=["flag", "env"]
-    )
-    def test_bad_tolerance_on_verify_names_its_source(self, monkeypatch, flag, env, source):
-        # verify builds its policy without the float layers; it is still checked
-        if env is None:
-            monkeypatch.delenv("BCA_TOL", raising=False)
-        else:
-            monkeypatch.setenv("BCA_TOL", env)
-        code, out, err = run_cli(["verify", "--m", "2", "--samples", "1", *flag])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {source}: ")
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_tolerance_on_verify_names_its_source(self, monkeypatch, source):
+        # verify and example have no tolerances section: they take no --tol and read no BCA_TOL
+        monkeypatch.delenv("BCA_TOL", raising=False)
+        verify = ["verify", "--m", "2", "--samples", "1"]
+        if source == "flag":
+            code, out, err = run_parser_exit([*verify, "--tol", "0.5"])
+            assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --tol 0.5\n")
+            return
+        for argv in (verify, ["example", "--name", "odd-irregular", "--n", "2"]):
+            expected = run_cli(argv)
+            monkeypatch.setenv("BCA_TOL", "abc")
+            assert expected[0] == 0 and run_cli(argv) == expected
+            monkeypatch.delenv("BCA_TOL")
 
 
 def key_paths(obj, prefix=""):
@@ -1024,7 +1092,8 @@ class TestReportKeys:
             "example": ["example", "--name", "odd-irregular", "--n", "2"],
         }
         for command, expected in self.EXPECTED.items():
-            code, out, _ = run_cli(argvs.get(command, [command, path]) + ["--samples", "2"])
+            samples = ["--samples", "2"] if command in ("check", "dissipative", "verify") else []
+            code, out, _ = run_cli(argvs.get(command, [command, path]) + samples)
             assert code == 0, command
             assert key_paths(json.loads(out)) == expected, command
 
