@@ -74,12 +74,17 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _flatten_text(obj, prefix: str, lines: list[str]) -> None:
-    if not isinstance(obj, dict):
-        lines.append(f"{prefix[:-1]} = {dumps_deterministic(obj)}")
-        return
-    for key, value in obj.items():
-        _flatten_text(value, f"{prefix}{key}.", lines)
+def _flatten_text(obj, path: str, lines: list[str]) -> None:
+    """One ``path = value`` line per leaf: a dict's values by key, and the
+    items of a nonempty list of dicts by index, as in ``conditions[0].a``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _flatten_text(value, f"{path}.{key}" if path else str(key), lines)
+    elif isinstance(obj, list) and obj and all(isinstance(item, dict) for item in obj):
+        for index, item in enumerate(obj):
+            _flatten_text(item, f"{path}[{index}]", lines)
+    else:
+        lines.append(f"{path} = {dumps_deterministic(obj)}")
 
 
 def render_report(report: dict, fmt: str) -> str:

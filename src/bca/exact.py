@@ -1,14 +1,16 @@
 """Exact closed forms and the Gaussian-integer core, free of numpy.
 
 A Gaussian integer is a pair ``(re, im)`` of Python ints; an exact matrix
-is a list of rows of them, over one denominator where it needs one, or,
-for the sparse closed forms, each row's nonzero entries by column.  The
-integer closed forms of both identity targets live here -- M, and the
-canonical maps with the target ``(S - S*)/2i`` -- so :mod:`bca.forms` and
-:mod:`bca.contraction` convert the very matrices that the exact oracle
-(:mod:`bca.polyoracle`) certifies.  So does the fraction-free linear
-algebra the oracle runs on: checked exact division, Bareiss elimination
-and the null-space basis it yields.
+is a list of rows of them, over one denominator where it needs one.
+Each closed form is kept once, by its nonzeros: a sparse row is a dict
+of its nonzero entries by column.  Dense rows are built only where they
+are read whole, by elimination and by the identity suites' sampling
+loop.  The integer closed forms of both identity targets live here --
+M, and the canonical maps with the target ``(S - S*)/2i`` -- so
+:mod:`bca.forms` and :mod:`bca.contraction` convert the very rows that
+the exact oracle (:mod:`bca.polyoracle`) certifies.  So does the
+fraction-free linear algebra the oracle runs on: checked exact division,
+Bareiss elimination and the null-space basis it yields.
 """
 
 from __future__ import annotations
@@ -37,22 +39,15 @@ def _check_order(m: int) -> None:
         raise BadShape(f"order must be >= 1, got {m}")
 
 
-def boundary_block(m: int) -> SparseRows:
-    """The m x m block B of M at x = 0, antidiagonal:
-    ``B[p][m-1-p] = -i^(m+1) (-1)^p``.  B is Hermitian and unitary."""
+def boundary_form(m: int) -> tuple[SparseRows, int]:
+    """M with ``2 Im(L0 y, y) = yh M yh*`` by its nonzeros, one per row,
+    over denominator 1: blocks B at x = 0 and -B at x = 1, with B
+    antidiagonal, ``B[p][m-1-p] = -i^(m+1) (-1)^p``.  B is Hermitian and
+    unitary."""
     _check_order(m)
     re, im = ((-1, 0), (0, -1), (1, 0), (0, 1))[(m + 1) % 4]  # -i^(m+1)
-    return [{m - 1 - p: (-re, -im) if p % 2 else (re, im)} for p in range(m)]
-
-
-def boundary_form(m: int) -> tuple[GaussianRows, int]:
-    """M with ``2 Im(L0 y, y) = yh M yh*``, blocks B and -B, as dense rows
-    over denominator 1."""
-    rows = [[(0, 0)] * (2 * m) for _ in range(2 * m)]
-    for p, row in enumerate(boundary_block(m)):
-        for q, (re, im) in row.items():
-            rows[p][q], rows[m + p][m + q] = (re, im), (-re, -im)
-    return rows, 1
+    block = [{m - 1 - p: (-re, -im) if p % 2 else (re, im)} for p in range(m)]  # B at x = 0
+    return block + [{m + q: (-zr, -zi) for q, (zr, zi) in row.items()} for row in block], 1  # -B at x = 1
 
 
 def canonical_components(m: int) -> tuple[SparseRows, SparseRows, tuple[Fraction, ...]]:
@@ -85,22 +80,23 @@ def canonical_components(m: int) -> tuple[SparseRows, SparseRows, tuple[Fraction
     return p_int, q_int, (_HALF,) * odd + (_ONE,) * (m - odd)
 
 
-def canonical_target(m: int) -> tuple[GaussianRows, int]:
+def canonical_target(m: int) -> tuple[SparseRows, int]:
     """``(S - S*)/2i``, the Hermitian form of ``Im<yv, y^> = Im(yh S yh*)``,
     with ``S = Q_int^T W^2 conj(P_int)`` from :func:`canonical_components`,
-    as dense Gaussian rows over 4: ``-i (2S - (2S)*)``, where 2S is a
+    by its nonzeros over 4: ``-i (2S - (2S)*)``, where 2S is a
     Gaussian-integer matrix.  Each term z of ``2S[c][d]`` adds ``-i z`` at
     (c, d) and ``i conj(z)`` at (d, c)."""
     p_int, q_int, weight_sq = canonical_components(m)
-    rows = [[(0, 0)] * (2 * m) for _ in range(2 * m)]
+    rows: SparseRows = [{} for _ in range(2 * m)]
     for p_row, q_row, weight in zip(p_int, q_int, weight_sq):
         scale = int(2 * weight)
         for c, (qr, qi) in q_row.items():
             for d, (pr, pi) in p_row.items():
                 a, b = scale * (qr * pr + qi * pi), scale * (qi * pr - qr * pi)  # z = 2 q w conj(p)
-                rows[c][d] = (rows[c][d][0] + b, rows[c][d][1] - a)
-                rows[d][c] = (rows[d][c][0] + b, rows[d][c][1] + a)
-    return rows, 4
+                for i, j, imag in ((c, d, -a), (d, c, a)):  # -i z at (c, d), i conj(z) at (d, c)
+                    old_re, old_im = rows[i].get(j, (0, 0))
+                    rows[i][j] = (old_re + b, old_im + imag)
+    return [{d: z for d, z in row.items() if z != (0, 0)} for row in rows], 4
 
 
 def _integer_rows(rows) -> GaussianRows:

@@ -32,17 +32,14 @@ class DissipativityVerdict:
 @functools.lru_cache(maxsize=32)
 def build_M(m: int) -> np.ndarray:
     """Read-only 2m x 2m boundary form matrix with ``2 Im(L0 y, y) = yh M yh*``:
-    the closed form :func:`bca.exact.boundary_form` as numpy, built once per order.
+    the nonzeros of :func:`bca.exact.boundary_form` as numpy, built once per
+    order, so it is the conversion of the very rows the exact oracle certifies.
 
-    Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``
-    (:func:`bca.exact.boundary_block`).  Entries are exact Gaussian
-    integers (0, +-1, +-i).  B is Hermitian and unitary, so the spectrum is
-    {+1, -1}, each with multiplicity m.
+    Blocks B and -B, with B antidiagonal: ``B[p, m-1-p] = -i^(m+1) (-1)^p``.
+    Entries are exact Gaussian integers (0, +-1, +-i).  B is Hermitian and
+    unitary, so the spectrum is {+1, -1}, each with multiplicity m.
     """
-    block = numerics.gaussian_matrix(exact.boundary_block(m), m)
-    matrix = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    matrix[:m, :m] = block
-    matrix[m:, m:] = -block
+    matrix = numerics.gaussian_matrix(exact.boundary_form(m)[0], 2 * m)
     matrix.setflags(write=False)
     return matrix
 

@@ -19,19 +19,20 @@ ints) over one denominator, and each drawn rational vector is scaled by
 ``STREAM_SCALE``, so every sample is an integer sum and one Fraction is
 built per report.  Both identities say that a closed-form Hermitian
 target equals ``scale F``: the boundary form matrix M with scale 2, and
-the canonical form ``(S - S*)/2i`` with scale 1.  Both targets are the
-integer closed forms of :mod:`bca.exact`, the same matrices that
-:mod:`bca.forms` and :mod:`bca.contraction` convert to numpy.  Each suite
-builds ``D = target - scale F`` per call.  A Hermitian form is fixed by
-its values, so D is the zero matrix exactly when the identity holds for
-every boundary vector: that is the certificate a suite reports as
-``passed``.  The reported defect is the largest value of D at drawn
-boundary vectors.  The dissipativity spot-check scales each condition row
-to Gaussian integers, eliminates by Bareiss's fraction-free Gauss-Jordan
-method (every division exact and checked; a row is skipped when its update
-is itself) to the RREF null-space basis times one Gaussian integer, reads
-F by its 2m nonzeros and draws weights only on the support of the
-restricted form, so a zero form draws nothing.
+the canonical form ``(S - S*)/2i`` with scale 1.  F and both targets are
+kept once, by their nonzeros: the targets are the sparse closed forms of
+:mod:`bca.exact`, the same rows that :mod:`bca.forms` and
+:mod:`bca.contraction` convert to numpy.  Each suite assembles the dense
+``D = target - scale F`` from those nonzeros per call.  A Hermitian
+form is fixed by its values, so D is the zero matrix exactly when the
+identity holds for every boundary vector: that is the certificate a
+suite reports as ``passed``.  The reported defect is the largest value
+of D at drawn boundary vectors.  The dissipativity spot-check scales each
+condition row to Gaussian integers, eliminates by Bareiss's fraction-free
+Gauss-Jordan method (every division exact and checked; a row is skipped
+when its update is itself) to the RREF null-space basis times one
+Gaussian integer, reads F by its 2m nonzeros and draws weights only on
+the support of the restricted form, so a zero form draws nothing.
 Every sampling loop draws one vector at a time, evaluates it and drops
 it, so memory does not grow with the sample count.  RationalComplex serves
 only the reference route and :func:`rational_nullspace`.  Nothing here
@@ -360,27 +361,22 @@ def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
 
 
 @functools.cache
-def _integer_imaginary_form(m: int) -> tuple[GaussianRows, int]:
-    """Hermitian F with ``Im(L0 y, y) = yh F yh*`` as Gaussian integers over
-    their least denominator: the imaginary part ``(Z - Z*)/(2i)`` of
-    ``Z = (-i)^m G``, ``F[c][d] = (Re q (G[c][d] + G[d][c]), Im q (G[c][d] -
-    G[d][c])) / 2`` with ``q = (-i)^(m+1)``, whose parts are 0 or +-1."""
+def _imaginary_form(m: int) -> tuple[SparseRows, int]:
+    """Hermitian F with ``Im(L0 y, y) = yh F yh*`` by its nonzero entries,
+    2m of them (F = M/2), as Gaussian integers over their least
+    denominator: the imaginary part ``(Z - Z*)/(2i)`` of ``Z = (-i)^m G``,
+    ``F[c][d] = (Re q (G[c][d] + G[d][c]), Im q (G[c][d] - G[d][c])) / 2``
+    with ``q = (-i)^(m+1)``, whose parts are 0 or +-1."""
     gram, den = _gram(m)
     q_re, q_im = _minus_i_power(m + 1)
-    size = 2 * m
-    rows = [
-        [(q_re * (gram[c][d] + gram[d][c]), q_im * (gram[c][d] - gram[d][c])) for d in range(size)]
-        for c in range(size)
-    ]
-    common = math.gcd(2 * den, *(part for row in rows for pair in row for part in pair))
-    return [[(re // common, im // common) for re, im in row] for row in rows], 2 * den // common
-
-
-@functools.cache
-def _sparse_imaginary_form(m: int) -> tuple[SparseRows, int]:
-    """The F of :func:`_integer_imaginary_form` by its nonzero entries, 2m of them (F = M/2)."""
-    rows, den = _integer_imaginary_form(m)
-    return [{d: z for d, z in enumerate(row) if z != (0, 0)} for row in rows], den
+    rows: SparseRows = [{} for _ in range(2 * m)]
+    for c, row in enumerate(rows):
+        for d in range(2 * m):
+            z = (q_re * (gram[c][d] + gram[d][c]), q_im * (gram[c][d] - gram[d][c]))
+            if z != (0, 0):
+                row[d] = z
+    common = math.gcd(2 * den, *(part for row in rows for pair in row.values() for part in pair))
+    return [{d: (re // common, im // common) for d, (re, im) in row.items()} for row in rows], 2 * den // common
 
 
 def _form_value(terms, w) -> int:
@@ -399,16 +395,20 @@ def _check_sample_count(sample_count: int) -> None:
         raise InvalidInput("sample_count must be >= 1")
 
 
-def _difference(m: int, target: tuple[GaussianRows, int], scale: int) -> tuple[GaussianRows, int]:
-    """``target - scale F`` over one denominator, for a 2m x 2m target
-    given as Gaussian-integer rows over their denominator."""
+def _difference(m: int, target: tuple[SparseRows, int], scale: int) -> tuple[GaussianRows, int]:
+    """``target - scale F`` as dense Gaussian-integer rows over one
+    denominator, from the nonzeros of a 2m x 2m target over its
+    denominator and of F."""
     t_rows, t_den = target
-    form, f_den = _integer_imaginary_form(m)
+    form, f_den = _imaginary_form(m)
     weight = scale * t_den
-    return [
-        [(tr * f_den - weight * fr, ti * f_den - weight * fi) for (tr, ti), (fr, fi) in zip(t_row, f_row)]
-        for t_row, f_row in zip(t_rows, form)
-    ], t_den * f_den
+    rows = [[(0, 0)] * (2 * m) for _ in range(2 * m)]
+    for row, t_row, f_row in zip(rows, t_rows, form):
+        for d, (tr, ti) in t_row.items():
+            row[d] = (tr * f_den, ti * f_den)
+        for d, (fr, fi) in f_row.items():
+            row[d] = (row[d][0] - weight * fr, row[d][1] - weight * fi)
+    return rows, t_den * f_den
 
 
 def _identity_reports(m: int, sample_count: int, seed: int, *suites) -> list[IdentityReport]:
@@ -505,7 +505,7 @@ def sample_dissipativity(
     basis, det = _nullspace(_integer_rows(system.exact_coeffs))
     if len(basis) != m:
         raise DependentRows(f"expected null space of dimension {m}, got {len(basis)}")
-    form, den = _sparse_imaginary_form(m)
+    form, den = _imaginary_form(m)
     # N F read by F's nonzeros: F is Hermitian, so column d of F is conj(row d)
     images = [[_gaussian_dot([vec[c] for c in row], row.values()) for row in form] for vec in basis]
     upper = {(a, b): _gaussian_dot(images[a], basis[b]) for a in range(m) for b in range(a, m)}

@@ -707,6 +707,42 @@ class TestRender:
         assert cli.render_report({"n": value}, "json") == '{\n  "n": 7' + "0" * 4999 + "\n}\n"
         assert cli.render_report({"n": value}, "text") == "n = 7" + "0" * 4999 + "\n"
 
+    def test_text_indexes_the_items_of_a_list_of_objects(self):
+        # a nonempty list whose items are all objects prints item by item,
+        # with the index in the path; any other list prints as one value
+        report = {
+            "conditions": [{"a": [[1, 0]], "b": {"c": [{"d": 2}]}}, {"a": []}],
+            "mixed": [1, {"x": 2}],
+            "empty": [],
+            "rows": [[0, 0]],
+        }
+        assert cli.render_report(report, "text") == (
+            "conditions[0].a = [[1, 0]]\nconditions[0].b.c[0].d = 2\nconditions[1].a = []\n"
+            'mixed = [1, {\n  "x": 2\n}]\nempty = []\nrows = [[0, 0]]\n'
+        )
+        assert cli.render_report(report, "json") == cli.dumps_deterministic(report) + "\n"
+
+    def test_conditions_print_one_line_per_matrix(self, tmp_path):
+        # the text of every report with conditions names each matrix by its
+        # index and prints the value its json prints
+        dirichlet = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        contraction = write_json(tmp_path / "v.json", {"m": 1, "V": [[[0, 0]]]})
+        for argv in (
+            ["example", "--name", "odd-irregular", "--n", "2"],
+            ["normalize", dirichlet],
+            ["from-contraction", contraction],
+        ):
+            _, as_json, _ = run_cli(argv)
+            _, as_text, _ = run_cli(argv + ["--format", "text"])
+            expected = [
+                f"conditions[{j}].{key} = {cli.dumps_deterministic(value)}"
+                for j, row in enumerate(json.loads(as_json)["conditions"])
+                for key, value in row.items()
+            ]
+            assert [line for line in as_text.splitlines() if line.startswith("conditions")] == expected
+        _, as_text, _ = run_cli(["example", "--name", "odd-irregular", "--n", "2", "--format", "text"])
+        assert "conditions[0].a = [[0, 0], [0, 0], [1, 0]]" in as_text.splitlines()
+
     @pytest.mark.parametrize(
         "value, name", [({1, 2}, "set"), (1j, "complex"), (np.bool_(True), np.bool_.__name__), ([1, {2}], "set")]
     )

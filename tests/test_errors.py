@@ -22,7 +22,7 @@ from bca import exact, numerics, polyoracle
 from bca.errors import BadShape, DimensionMismatch, InvalidInput
 
 CASES = [
-    pytest.param(lambda: exact.boundary_block(0), BadShape, id="closed-form-order"),
+    pytest.param(lambda: exact.boundary_form(0), BadShape, id="closed-form-order"),
     pytest.param(lambda: ordered_roots(0), BadShape, id="ordered-roots-order"),
     pytest.param(lambda: hermite_interpolant(0, BoundaryVector(0, ())), BadShape, id="hermite-order"),
     # BoundaryVector(0, ()) is refused on its own, so give hermite_interpolant a valid target
@@ -47,7 +47,7 @@ CASES = [
     pytest.param(lambda: polyoracle.verify_identities(2.0, 1, 0), BadShape, id="identity-order-float"),
     pytest.param(lambda: polyoracle.verify_identities(True, 1, 0), BadShape, id="identity-order-bool"),
     pytest.param(lambda: verify_boundary_form_identity(2, True, 0), InvalidInput, id="identity-count-bool"),
-    pytest.param(lambda: exact.boundary_block(True), BadShape, id="closed-form-order-bool"),
+    pytest.param(lambda: exact.boundary_form(True), BadShape, id="closed-form-order-bool"),
     pytest.param(lambda: BoundaryConditionSystem(2.0, [[1, 0, 0, 0], [0, 0, 1, 0]]), BadShape, id="system-order-float"),
     pytest.param(lambda: TolerancePolicy(rank_tol=1.0), InvalidInput, id="tolerance"),
     pytest.param(lambda: numerics.as_complex_matrix([[math.inf]]), BadShape, id="nonfinite-matrix"),
@@ -65,4 +65,4 @@ def test_numpy_integers_are_counts_and_orders():
     system = helpers.dirichlet_m2()
     assert sample_dissipativity(system, np.int64(3), 0) == sample_dissipativity(system, 3, 0)
     assert polyoracle.verify_identities(np.int32(2), np.int64(1), 0) == polyoracle.verify_identities(2, 1, 0)
-    assert exact.boundary_block(np.int64(3)) == exact.boundary_block(3)
+    assert exact.boundary_form(np.int64(3)) == exact.boundary_form(3)

@@ -4,7 +4,7 @@ they replaced, which are kept here as the reference."""
 import numpy as np
 import pytest
 
-from bca import contraction, exact, forms, numerics
+from bca import contraction, exact, forms, numerics, polyoracle
 
 
 def numpy_build_M(m):
@@ -41,15 +41,17 @@ def numpy_canonical_target(m):
 
 
 def equal_as_gaussian_rows(target, matrix):
-    """``target`` (dense Gaussian-integer rows over a denominator) equals
-    the numpy ``matrix``: same shape, same nonzero entries."""
+    """``target`` (sparse Gaussian-integer rows over a denominator, each
+    row's nonzero entries by column) equals the numpy ``matrix``: same
+    shape, same nonzero entries, and no zero entry stored."""
     rows, den = target
     scaled = matrix * den
     assert np.array_equal(scaled, np.round(scaled))
-    nonzero = {(c, d): z for c, row in enumerate(rows) for d, z in enumerate(row) if z != (0, 0)}
+    stored = {(c, d): z for c, row in enumerate(rows) for d, z in row.items()}
     at = np.nonzero(scaled)
     expected = {(c, d): (int(z.real), int(z.imag)) for c, d, z in zip(*(i.tolist() for i in at), scaled[at].tolist())}
-    return [len(row) for row in rows] == [matrix.shape[1]] * matrix.shape[0] and nonzero == expected
+    in_range = all(0 <= d < matrix.shape[1] for _, d in stored)
+    return len(rows) == matrix.shape[0] and in_range and stored == expected
 
 
 @pytest.mark.parametrize("orders", [range(1, 65), range(65, 129)], ids=["1-64", "65-128"])
@@ -57,7 +59,6 @@ def test_closed_forms_equal_the_numpy_builders(orders):
     for m in orders:
         expected_m = numpy_build_M(m)
         assert equal_as_gaussian_rows(exact.boundary_form(m), expected_m)
-        assert np.array_equal(numerics.gaussian_matrix(exact.boundary_block(m), m), expected_m[:m, :m])
         built = forms.build_M(m)
         assert built.dtype == np.complex128 and not built.flags.writeable
         assert np.array_equal(built, expected_m)
@@ -74,7 +75,21 @@ def test_closed_forms_equal_the_numpy_builders(orders):
         assert equal_as_gaussian_rows(exact.canonical_target(m), numpy_canonical_target(m))
 
 
-@pytest.mark.parametrize("build", [exact.boundary_block, exact.boundary_form, exact.canonical_components])
+@pytest.mark.parametrize("build", [exact.boundary_form, exact.canonical_components, exact.canonical_target])
 def test_order_below_one_rejected(build):
     with pytest.raises(ValueError, match="order must be >= 1"):
         build(0)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_each_closed_form_is_kept_by_its_nonzeros(m):
+    # M has one nonzero per row and F = M/2 has 2m; no form stores a zero
+    # entry, and build_M converts the very rows of boundary_form, bit for
+    # bit (a negated numpy block would hold -0.0 where M is zero)
+    boundary, _ = exact.boundary_form(m)
+    assert [len(row) for row in boundary] == [1] * (2 * m)
+    form, _ = polyoracle._imaginary_form(m)
+    assert sum(map(len, form)) == 2 * m
+    for rows in (boundary, exact.canonical_target(m)[0], form):
+        assert all(z != (0, 0) for row in rows for z in row.values())
+    assert forms.build_M(m).tobytes() == numerics.gaussian_matrix(boundary, 2 * m).tobytes()

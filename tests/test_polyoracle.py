@@ -50,6 +50,17 @@ def form_value(matrix, vector):
     return sum((x * b.conjugate() for x, b in zip(left, vector)), qc(0))
 
 
+def densify(rows, size):
+    """Sparse rows (each row's nonzero entries by column) as dense rows of ``size`` entries."""
+    return [[row.get(d, (0, 0)) for d in range(size)] for row in rows]
+
+
+def add_entry(rows, c, d, re, im=0):
+    """Add ``re + i im`` to entry (c, d) of sparse rows."""
+    old_re, old_im = rows[c].get(d, (0, 0))
+    rows[c][d] = (old_re + re, old_im + im)
+
+
 def exact_system(rng, m, rank=None):
     """A system with p/q entries (denominators 1..7) given exactly; with
     ``rank``, rows are rational combinations of ``rank`` such rows."""
@@ -127,7 +138,8 @@ def dense_min_value(system, sample_count, seed):
     from the dense F, and all m weights of every sample drawn."""
     m = system.m
     basis, det = exact._nullspace(exact._integer_rows(system.exact_coeffs))
-    form, den = polyoracle._integer_imaginary_form(m)
+    form, den = polyoracle._imaginary_form(m)
+    form = densify(form, 2 * m)
     lefts = [exact._gaussian_vecmat(vec, form) for vec in basis]
     restricted = [[exact._gaussian_dot(left, vec) for vec in basis] for left in lefts]
     weights = (polyoracle._scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
@@ -270,7 +282,8 @@ class TestGram:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_gram_matches_the_polynomial_route(self, m):
         gram, gram_den = polyoracle._gram(m)
-        integer_form, den = polyoracle._integer_imaginary_form(m)
+        integer_form, den = polyoracle._imaginary_form(m)
+        integer_form = densify(integer_form, 2 * m)
         for index in range(20):
             target = random_boundary_vector(m, seed=31, index=index)
             expected = l0_inner_product(hermite_interpolant(m, target), m)
@@ -283,31 +296,38 @@ class TestGram:
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_sparse_form_is_the_form_by_its_nonzeros(self, m):
-        # F = M/2 has 2m nonzeros; the sparse rows hold exactly those of F
-        rows, den = polyoracle._integer_imaginary_form(m)
-        sparse, sparse_den = polyoracle._sparse_imaginary_form(m)
-        assert sparse_den == den and sum(map(len, sparse)) == 2 * m
-        assert [[row.get(d, (0, 0)) for d in range(2 * m)] for row in sparse] == rows
+        # F = M/2 has 2m nonzeros; the sparse rows hold exactly those of the
+        # dense F built from the Gram, over the least denominator of all its entries
+        gram, gram_den = polyoracle._gram(m)
+        q_re, q_im = polyoracle._minus_i_power(m + 1)
+        dense = [
+            [(q_re * (gram[c][d] + gram[d][c]), q_im * (gram[c][d] - gram[d][c])) for d in range(2 * m)]
+            for c in range(2 * m)
+        ]
+        common = math.gcd(2 * gram_den, *(part for row in dense for pair in row for part in pair))
+        sparse, den = polyoracle._imaginary_form(m)
+        assert den == 2 * gram_den // common and sum(map(len, sparse)) == 2 * m
+        assert densify(sparse, 2 * m) == [[(re // common, im // common) for re, im in row] for row in dense]
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_form_is_over_its_least_denominator(self, m):
         # sampling cost grows with the size of these integers
-        rows, den = polyoracle._integer_imaginary_form(m)
+        rows, den = polyoracle._imaginary_form(m)
         assert den > 0
-        assert math.gcd(den, *(part for row in rows for pair in row for part in pair)) == 1
+        assert math.gcd(den, *(part for row in rows for pair in row.values() for part in pair)) == 1
 
     def test_cold_build_needs_no_elimination_and_no_fraction(self, monkeypatch):
-        built = {m: polyoracle._integer_imaginary_form(m) for m in (1, 8, 16)}
+        built = {m: polyoracle._imaginary_form(m) for m in (1, 8, 16)}
 
         def fail(*args):
             raise AssertionError("the exact forms are built from closed forms in integers")
 
         monkeypatch.setattr(polyoracle, "_nullspace", fail)
         monkeypatch.setattr(polyoracle, "Fraction", fail)
-        polyoracle._integer_imaginary_form.cache_clear()
+        polyoracle._imaginary_form.cache_clear()
         polyoracle._hermite_matrix.cache_clear()
         for m, form in built.items():
-            assert polyoracle._integer_imaginary_form(m) == form
+            assert polyoracle._imaginary_form(m) == form
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_identities_hold_as_matrices(self, m):
@@ -328,8 +348,9 @@ def perturb_boundary_form(monkeypatch, mirror):
 
     def perturbed(order):
         rows, den = boundary_form(order)
-        rows[0][-1] = (rows[0][-1][0] + den, rows[0][-1][1])
-        rows[-1][0] = (rows[-1][0][0] + mirror * den, rows[-1][0][1])
+        add_entry(rows, 0, 2 * order - 1, den)
+        if mirror:
+            add_entry(rows, 2 * order - 1, 0, mirror * den)
         return rows, den
 
     monkeypatch.setattr(exact, "boundary_form", perturbed)
@@ -419,10 +440,10 @@ class TestIdentitySuites:
 
         def perturbed(order):
             rows, den = build(order)
-            return [
-                [(re + den * int(z.real), im + den * int(z.imag)) for (re, im), z in zip(row, p_row)]
-                for row, p_row in zip(rows, perturbation)
-            ], den
+            for c, d in np.argwhere(perturbation).tolist():
+                z = perturbation[c, d]
+                add_entry(rows, c, d, den * int(z.real), den * int(z.imag))
+            return rows, den
 
         monkeypatch.setattr(module, name, perturbed)
         report = suite(m, sample_count=1, seed=21)
@@ -561,10 +582,10 @@ class TestSampleDissipativity:
 
     def test_sample_count_checked_before_any_elimination(self, monkeypatch):
         calls = []
-        nullspace, form = polyoracle._nullspace, polyoracle._sparse_imaginary_form
+        nullspace, form = polyoracle._nullspace, polyoracle._imaginary_form
         monkeypatch.setattr(polyoracle, "_nullspace", lambda rows: calls.append("nullspace") or nullspace(rows))
         monkeypatch.setattr(
-            polyoracle, "_sparse_imaginary_form", lambda m: calls.append("form") or form(m)
+            polyoracle, "_imaginary_form", lambda m: calls.append("form") or form(m)
         )
         with pytest.raises(ValueError):
             sample_dissipativity(helpers.dirichlet_m2(), 0, seed=0)
@@ -783,7 +804,8 @@ class TestSampleStream:
 
         def unit_defect(order):
             rows, den = boundary_form(order)
-            rows[entry][entry] = (rows[entry][entry][0] + den, rows[entry][entry][1])
+            j = entry % (2 * order)
+            add_entry(rows, j, j, den)
             return rows, den
 
         monkeypatch.setattr(exact, "boundary_form", unit_defect)
