@@ -21,7 +21,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -449,7 +448,7 @@ _SAMPLING = {
 _FLAGS = {
     "tolerances": {
         "--tol": (
-            {"type": float, "help": "override all relative tolerances (default: BCA_TOL or built-ins)"}, None,
+            {"type": float, "help": "set all three relative tolerances (default: the built-ins)"}, None,
         ),
     },
     "m": {
@@ -465,8 +464,14 @@ def _flags(command: str) -> dict:
     return {flag: spec for section in _REPORTS[command] for flag, spec in _FLAGS.get(section, {}).items()}
 
 
-def _build_report(args, tol: TolerancePolicy) -> dict:
-    """The report of the subcommand ``args.command``, section by section."""
+def _build_report(args) -> dict:
+    """The report of the subcommand ``args.command``, section by section.
+    Its flags are checked, and ``--tol`` made its policy, before any analysis."""
+    value = getattr(args, "tol", None)  # None where --tol is not given or not taken
+    try:  # the +0.0 folds a negative zero into a plain zero
+        tol = TolerancePolicy() if value is None else TolerancePolicy(value + 0.0, value + 0.0, value + 0.0)
+    except ValueError as exc:
+        raise FileFormatError(f"--tol: {exc}") from exc
     for flag, (_, limits) in _flags(args.command).items():
         value = getattr(args, flag[2:])
         if limits and not limits[1] <= value <= limits[2]:
@@ -509,27 +514,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tolerances(args) -> TolerancePolicy:
-    value, source = args.tol, "--tol"
-    if value is None:
-        value, source = os.environ.get("BCA_TOL"), "BCA_TOL"
-    if value is None:
-        return TolerancePolicy()
-    try:
-        value = float(value)
-        return TolerancePolicy(definiteness_tol=value, rank_tol=value, zero_tol=value)
-    except ValueError as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
-
-
 _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        tol = _resolve_tolerances(args) if "tolerances" in _REPORTS[args.command] else TolerancePolicy()
-        report = _build_report(args, tol)
+        report = _build_report(args)
     except ValueError as exc:  # every InvalidInput is one
         print(f"error: {exc}", file=sys.stderr)
         return 2

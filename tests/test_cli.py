@@ -48,6 +48,16 @@ DIRICHLET = {
     ],
 }
 
+
+def dirichlet_input(tmp_path, command):
+    """The Dirichlet file, or for ``from-contraction`` the V file that ``to-contraction`` writes of it."""
+    path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+    if command == "from-contraction":
+        _, v_text, _ = run_cli(["to-contraction", path])
+        path = write_json(tmp_path / "v.json", json.loads(v_text))
+    return path
+
+
 LEFT_END = {"m": 1, "conditions": [{"a": [[1, 0]], "b": [[0, 0]]}]}
 
 
@@ -399,12 +409,8 @@ class TestSubcommandFlags:
         assert self.help_options(command) == self.OPTIONS[command]
 
     @pytest.mark.parametrize("command", list(OPTIONS))
-    def test_every_flag_changes_the_result(self, tmp_path, monkeypatch, command):
-        monkeypatch.delenv("BCA_TOL", raising=False)
-        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
-        if command == "from-contraction":
-            _, v_text, _ = run_cli(["to-contraction", path])
-            path = write_json(tmp_path / "v.json", json.loads(v_text))
+    def test_every_flag_changes_the_result(self, tmp_path, command):
+        path = dirichlet_input(tmp_path, command)
         inputs = [] if command in self.BASE else [path]
         for flag in self.help_options(command):
             if flag == "--name":  # it has one valid value
@@ -1039,39 +1045,34 @@ class TestToleranceFlags:
             "zero_tol": 1e-6,
         }
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BCA_TOL", "1e-7")
-        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
-        code, out, _ = run_cli(["check", path])
-        assert code == 0
-        assert json.loads(out)["tolerances"]["rank_tol"] == 1e-7
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BCA_TOL", "1e-7")
-        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
-        code, out, _ = run_cli(["check", path, "--tol", "1e-5"])
-        assert code == 0
-        assert json.loads(out)["tolerances"]["rank_tol"] == 1e-5
-
     def test_out_of_range_tol_rejected(self, tmp_path):
         path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
-        code, _, err = run_cli(["check", path, "--tol", "0.5"])
-        assert code == 2
+        code, out, err = run_cli(["check", path, "--tol", "0.5"])
+        assert (code, out) == (2, "") and err.startswith("error: --tol: ")
+        # checked before the input is read
+        assert run_cli(["check", str(tmp_path / "missing.json"), "--tol", "0.5"]) == (code, out, err)
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_bad_tolerance_on_verify_names_its_source(self, monkeypatch, source):
-        # verify and example have no tolerances section: they take no --tol and read no BCA_TOL
-        monkeypatch.delenv("BCA_TOL", raising=False)
-        verify = ["verify", "--m", "2", "--samples", "1"]
-        if source == "flag":
-            code, out, err = run_parser_exit([*verify, "--tol", "0.5"])
-            assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --tol 0.5\n")
-            return
-        for argv in (verify, ["example", "--name", "odd-irregular", "--n", "2"]):
-            expected = run_cli(argv)
-            monkeypatch.setenv("BCA_TOL", "abc")
-            assert expected[0] == 0 and run_cli(argv) == expected
-            monkeypatch.delenv("BCA_TOL")
+    def test_negative_zero_tol_is_zero(self, tmp_path):
+        path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
+        code, out, _ = run_cli(["check", path, "--tol", "-0"])
+        assert code == 0 and '"rank_tol": 0,' in out
+        assert run_cli(["check", path, "--tol", "0"]) == (code, out, "")
+
+    def test_verify_takes_no_tol(self):
+        code, out, err = run_parser_exit(["verify", "--m", "2", "--samples", "1", "--tol", "0.5"])
+        assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --tol 0.5\n")
+
+    @pytest.mark.parametrize("command", list(TestSubcommandFlags.OPTIONS))
+    def test_environment_is_not_an_input(self, tmp_path, monkeypatch, command):
+        """A run reads its command line and its input file, and no BCA_TOL."""
+        path = dirichlet_input(tmp_path, command)
+        base = TestSubcommandFlags.BASE.get(command)
+        argv = [command, *([part for item in base.items() for part in item] if base else [path])]
+        expected = run_cli(argv)
+        assert expected[0] == 0
+        for value in ("1e-3", "abc"):
+            monkeypatch.setenv("BCA_TOL", value)
+            assert run_cli(argv)[:2] == expected[:2], value
 
 
 def key_paths(obj, prefix=""):

@@ -17,7 +17,7 @@ from bca import (
 )
 from bca import exact, numerics
 from bca.contraction import ContractionParametrization
-from bca.errors import NotAContraction, NotDissipative
+from bca.errors import DimensionMismatch, NotAContraction, NotDissipative
 
 R2 = 1 / np.sqrt(2)
 
@@ -89,6 +89,11 @@ class TestContractionParametrization:
     def test_rejects_bad_shape(self):
         with pytest.raises(NotAContraction):
             ContractionParametrization(2, [[0.0]])
+
+    @pytest.mark.parametrize("V", [[0.5], [[]]])
+    def test_rejects_a_non_matrix(self, V):
+        with pytest.raises(DimensionMismatch):
+            ContractionParametrization(1, V)
 
     def test_accepts_boundary_norm(self):
         ContractionParametrization(2, np.eye(2))

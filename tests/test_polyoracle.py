@@ -181,6 +181,14 @@ class TestRationalComplex:
         assert a.conjugate() == qc(Fraction(1, 2), Fraction(3, 4))
         assert a.abs_squared() == Fraction(1, 4) + Fraction(9, 16)
 
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            qc(1, 2) / qc(0)
+
+    def test_equal_values_hash_equal(self):
+        assert hash(qc(Fraction(2, 4), -1)) == hash(qc(Fraction(1, 2), -1))
+        assert len({bv(1, (0,), (1,)), bv(1, (0,), (1,)), bv(1, (1,), (0,))}) == 2
+
     def test_from_float_is_exact(self):
         z = RationalComplex.from_complex(0.1 + 0.25j)
         assert z.re == Fraction(0.1)  # the exact binary value of the float
@@ -198,6 +206,12 @@ class TestPolynomial:
     def test_trailing_zeros_trimmed(self):
         p = RationalComplexPolynomial([qc(1), qc(0), qc(0)])
         assert p.degree == 0
+
+    def test_equal_polynomials_hash_equal(self):
+        p = RationalComplexPolynomial([qc(1), qc(0, 2), qc(0)])
+        q = RationalComplexPolynomial([qc(1), qc(0, 2)])
+        assert p == q and hash(p) == hash(q)
+        assert p != RationalComplexPolynomial([qc(1)]) and p != qc(1)
 
 
 class TestHermiteInterpolant:

@@ -84,7 +84,6 @@ def main(argv: list[str]) -> int:
         return 2
     src, out_path = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     sys.path[:0] = [str(src), str(Path(__file__).resolve().parents[1] / "benchmark")]
-    os.environ.pop("BCA_TOL", None)  # every report reads the built-in tolerances
     import bca.cli
     import corpus
 
