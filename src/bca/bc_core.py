@@ -31,7 +31,7 @@ def _binary_scaled_rows(coeffs: np.ndarray) -> np.ndarray:
     return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryConditionSystem:
     """Order ``m`` plus the ``m x 2m`` coefficient matrix ``[A | B]``."""
 
@@ -39,7 +39,7 @@ class BoundaryConditionSystem:
     coeffs: np.ndarray
     # The input's exact coefficients as (re, im) Fraction pairs, each
     # rounding to its entry of coeffs; None when coeffs are the data.
-    exact: tuple | None = field(default=None, compare=False, repr=False)
+    exact: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         exact._check_order(self.m)
@@ -85,17 +85,18 @@ class BoundaryConditionSystem:
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
         """Singular values and right singular vectors of ``coeffs``, its
         rows first scaled by :func:`_binary_scaled_rows`; computed once per
-        system; each consumer applies its own cutoff."""
+        system; :func:`validate` reads the rank from it."""
         _, sigma, vh = np.linalg.svd(_binary_scaled_rows(self.coeffs))
         return sigma, vh
 
     def nullspace(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Orthonormal basis (as columns) of ``{x : C x = 0}``."""
-        sigma, vh = self._svd
-        return vh[numerics.svd_rank(sigma, tol) :].conj().T
+        """Orthonormal basis (as m columns) of ``{x : C x = 0}``; raises
+        ``DependentRows`` (from :func:`validate`) below rank m."""
+        validate(self, tol)
+        return self._svd[1][self.m :].conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedSystem:
     """A system in minimal form with per-row orders.
 

@@ -313,7 +313,7 @@ class _Subject:
         if args.command == "from-contraction":
             parametrization = parse_contraction_data(data)
             from . import contraction
-            return contraction.from_contraction(parametrization, self.tol)
+            return contraction.from_contraction(parametrization)
         return parse_condition_data(data)
 
     @cached_property

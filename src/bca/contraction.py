@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, forms, numerics
-from .bc_core import BoundaryConditionSystem, validate
+from .bc_core import BoundaryConditionSystem
 from .errors import NotAContraction, NotDissipative, RankDeficiency
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalMaps:
     """Row maps onto the low/high canonical coordinates: y^ = P yh^t, yv = Q yh^t."""
 
@@ -37,7 +37,7 @@ class CanonicalMaps:
     Q: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionParametrization:
     """An m x m matrix with operator norm <= 1 (up to 1e-9 slack)."""
 
@@ -99,20 +99,16 @@ def to_contraction(
         raise RankDeficiency(str(exc)) from exc
 
 
-def from_contraction(
-    con: ContractionParametrization, tol: TolerancePolicy = DEFAULT_TOLERANCES
-) -> BoundaryConditionSystem:
+def from_contraction(con: ContractionParametrization) -> BoundaryConditionSystem:
     """Boundary conditions ``(V - I) yv + i (V + I) y^ = 0`` as a system.
 
-    The resulting rows are always independent and the system is always
+    The rows of ``[P; Q]`` are orthonormal, so the rows C satisfy
+    ``C C* = 2 (V V* + I)``: always independent, and the system is always
     dissipative.
     """
     maps = canonical_maps(con.m)
     eye = np.eye(con.m)
-    coeffs = (con.V - eye) @ maps.Q + 1j * (con.V + eye) @ maps.P
-    system = BoundaryConditionSystem(con.m, coeffs)
-    validate(system, tol)
-    return system
+    return BoundaryConditionSystem(con.m, (con.V - eye) @ maps.Q + 1j * (con.V + eye) @ maps.P)
 
 
 def contraction_roundtrip_defect(
@@ -120,5 +116,5 @@ def contraction_roundtrip_defect(
 ) -> float:
     """Subspace distance between the solution spaces of the system and of
     ``from_contraction(to_contraction(system))``."""
-    rebuilt = from_contraction(to_contraction(system, tol), tol)
+    rebuilt = from_contraction(to_contraction(system, tol))
     return numerics.subspace_distance(system.nullspace(tol), rebuilt.nullspace(tol))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, numerics
-from .bc_core import BoundaryConditionSystem, validate
+from .bc_core import BoundaryConditionSystem
 from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
 
@@ -54,7 +54,6 @@ def gram_on_nullspace(
     ``yh M yh*``, so the Gram matrix is ``N^t M conj(N)`` -- an m x m
     Hermitian matrix.
     """
-    validate(system, tol)
     basis = system.nullspace(tol)
     gram = basis.T @ build_M(system.m) @ np.conj(basis)
     return (gram + gram.conj().T) / 2.0

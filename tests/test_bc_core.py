@@ -39,6 +39,16 @@ class TestValidate:
         with pytest.raises(DependentRows):
             validate(BoundaryConditionSystem(1, [[0, 0]]))
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0, 0], [2, 0, 0, 0]], [[1, 0, 0, 1], [2, 0, 0, 2]], [[0, 0, 0, 0], [0, 1, 0, 0]]])
+    def test_nullspace_raises_what_validate_raises(self, rows):
+        # a null space has m columns or is not taken
+        system = BoundaryConditionSystem(2, rows)
+        with pytest.raises(DependentRows) as expected:
+            validate(system)
+        with pytest.raises(DependentRows, match="rows have numerical rank 1 < 2") as raised:
+            system.nullspace()
+        assert str(raised.value) == str(expected.value)
+
     def test_bad_shape_rejected_at_construction(self):
         with pytest.raises(BadShape):
             BoundaryConditionSystem(2, [[1, 0, 0], [0, 1, 0]])

@@ -6,6 +6,9 @@ import pytest
 import helpers
 from bca import (
     DEFAULT_TOLERANCES,
+    BoundaryConditionSystem,
+    NormalizedSystem,
+    TolerancePolicy,
     canonical_maps,
     contraction_roundtrip_defect,
     dissipativity_verdict,
@@ -14,15 +17,22 @@ from bca import (
     selfadjoint_verdict,
     subspace_distance,
     to_contraction,
+    validate,
 )
-from bca import exact, numerics
-from bca.contraction import ContractionParametrization
-from bca.errors import DimensionMismatch, NotAContraction, NotDissipative
+from bca import exact, forms, numerics
+from bca.contraction import CanonicalMaps, ContractionParametrization
+from bca.errors import DependentRows, DimensionMismatch, NotAContraction, NotDissipative
 
 R2 = 1 / np.sqrt(2)
 
 
 class TestCanonicalMaps:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_rows_of_p_and_q_are_orthonormal(self, m):
+        maps = canonical_maps(m)
+        rows = np.vstack([maps.P, maps.Q])
+        assert np.abs(rows @ rows.conj().T - np.eye(2 * m)).max() <= 1e-14
+
     def test_even_m2(self):
         maps = canonical_maps(2)
         assert np.array_equal(maps.P, np.array([[1, 0, 0, 0], [0, 0, 1, 0]], dtype=complex))
@@ -125,12 +135,17 @@ class TestToContraction:
             assert to_contraction(system, verdict=verdict).V.tobytes() == to_contraction(system).V.tobytes()
 
     def test_passed_verdict_is_not_recomputed(self, monkeypatch):
-        from bca import forms
-
         verdict = dissipativity_verdict(helpers.transport(1, 0))
         monkeypatch.setattr(forms, "dissipativity_verdict", lambda *args: pytest.fail("recomputed"))
         with pytest.raises(NotDissipative):
             to_contraction(helpers.transport(1, 0), verdict=verdict)
+
+    def test_passed_verdict_does_not_skip_the_rank_check(self):
+        # the null space is taken only at rank m, whatever verdict is passed
+        dependent = BoundaryConditionSystem(2, [[1, 0, 0, 1], [2, 0, 0, 2]])
+        verdict = forms.DissipativityVerdict(dissipative=True, selfadjoint=False, gram_eigenvalues=(0.0, 0.0))
+        with pytest.raises(DependentRows, match="rows have numerical rank 1 < 2"):
+            to_contraction(dependent, verdict=verdict)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_v_is_bit_identical_to_the_numpy_pinv_route(self, m):
@@ -148,6 +163,24 @@ class TestToContraction:
 
 
 class TestFromContraction:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_rows_are_independent_by_their_gram(self, m):
+        # C C* = 2 (V V* + I) >= 2 I: the rows are independent for every
+        # contraction, so from_contraction needs no rank check
+        rng = np.random.default_rng(200 + m)
+        unitary, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        contractions = [
+            np.zeros((m, m)), np.eye(m), -np.eye(m), np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, m))),
+            unitary, raw * ((1 + 1e-9 - 1e-14) / np.linalg.norm(raw, 2)),  # at the bound, less SVD rounding
+        ]
+        for v in contractions:
+            con = ContractionParametrization(m, v)
+            system = from_contraction(con)
+            gram = system.coeffs @ system.coeffs.conj().T
+            assert np.abs(gram - 2 * (con.V @ con.V.conj().T + np.eye(m))).max() <= 1e-12
+            validate(system, TolerancePolicy(rank_tol=1e-2))
+
     def test_zero_recovers_right_end(self):
         system = from_contraction(ContractionParametrization(1, [[0.0]]))
         target = helpers.transport(0, 1)
@@ -204,3 +237,21 @@ class TestRoundtrip:
             v_mat = to_contraction(system).V
             gram = v_mat.conj().T @ v_mat
             assert np.allclose(gram, np.eye(system.m), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: helpers.dirichlet_m2(),
+        lambda: NormalizedSystem(helpers.dirichlet_m2(), (0, 0)),
+        lambda: ContractionParametrization(2, np.eye(2) / 2),
+        lambda: CanonicalMaps(2, canonical_maps(2).P.copy(), canonical_maps(2).Q.copy()),
+    ],
+    ids=["system", "normalized", "contraction", "maps"],
+)
+def test_objects_holding_arrays_compare_and_hash_by_identity(build):
+    # equal twins compare unequal without comparing their arrays
+    first, twin = build(), build()
+    assert first == first and not first != first
+    assert first != twin and not first == twin
+    assert {first, twin, first} == {first, twin} and len({first, twin}) == 2

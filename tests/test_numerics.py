@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bca.bc_core import BoundaryConditionSystem
-from bca.errors import DimensionMismatch, NonHermitianInput
+from bca.errors import DependentRows, DimensionMismatch, NonHermitianInput
 from bca.numerics import (
     DEFAULT_TOLERANCES,
     Definiteness,
@@ -103,11 +103,14 @@ class TestNullspace:
             cols = 2 * m
             mat = rng.normal(size=(m, cols)) + 1j * rng.normal(size=(m, cols))
             if rng.random() < 0.4 and m > 1:
-                mat[-1] = mat[0] * (1 + 2j)  # plant a dependency
+                mat[-1] = mat[0] * (1 + 2j)  # plant a dependency: no null space below rank m
+                with pytest.raises(DependentRows, match=f"rows have numerical rank {m - 1} < {m}"):
+                    BoundaryConditionSystem(m, mat).nullspace()
+                continue
             basis = BoundaryConditionSystem(m, mat).nullspace()
             sigma = np.linalg.svd(mat, compute_uv=False)
             rank = int(np.sum(sigma > DEFAULT_TOLERANCES.rank_tol * np.linalg.norm(mat)))
-            assert rank + basis.shape[1] == cols
+            assert rank == m and basis.shape[1] == cols - m
             for col in basis.T:
                 assert np.linalg.norm(mat @ col) <= 1e-9 * np.linalg.norm(mat)
             gram = basis.conj().T @ basis
