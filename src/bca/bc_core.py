@@ -158,8 +158,9 @@ def normalize(
     independent.  Otherwise they are replaced by ``U* R`` (U from the SVD
     of their pairs, so the row span is kept) with the entries beyond k,
     all below tolerance, flushed: the first rank rows get order k and
-    the others, their order-k pair zeroed, wait for a lower k.  Rows
-    already in minimal form are left untouched.
+    the others, their order-k pair zeroed, wait for a lower k, at the
+    latest that of their largest entry (``DependentRows`` if no entry is
+    left).  Rows already in minimal form are left untouched.
     """
     validate(system, tol)
     m = system.m
@@ -180,10 +181,11 @@ def normalize(
             mixed = u.conj().T @ rows[active]
             mixed[:, derivative > k] = 0.0
             mixed[rank:, derivative == k] = 0.0
-            rows[active] = mixed / np.abs(mixed).max(axis=1, keepdims=True)
+            scale = np.abs(mixed).max(axis=1, keepdims=True)
+            if not scale.all():
+                raise DependentRows("a row vanished during normalization")
+            rows[active] = mixed / scale
         orders[active[:rank]] = k
-    if np.any(orders < 0):
-        raise DependentRows("a row vanished during normalization")
 
     by_order = sorted(range(m), key=lambda i: (-orders[i], i))
     rows = rows[by_order]

@@ -368,7 +368,7 @@ def _oracle_section(s: _Subject) -> dict:
     return {
         "oracle": {
             "dissipativity": {
-                "samples": oracle.samples,
+                "samples": s.args.samples,
                 "seed": s.args.seed,
                 "all_nonnegative": oracle.all_nonnegative,
                 "min_value": oracle.min_value,

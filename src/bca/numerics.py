@@ -16,6 +16,8 @@ import numpy as np
 from .errors import BadShape, DimensionMismatch, NonHermitianInput
 from .tolerances import DEFAULT_TOLERANCES, TolerancePolicy  # re-exported
 
+EPS = float(np.finfo(np.float64).eps)  # machine epsilon of the doubles every SVD runs in
+
 
 class Definiteness(Enum):
     ZERO = "zero"
@@ -73,13 +75,15 @@ def hermitian_classify(
 
 
 def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values above ``tol.rank_tol * ||C||_F``, where
-    ``||C||_F`` is the 2-norm of all of ``C``'s singular values ``sigma``."""
-    return int(np.sum(sigma > tol.rank_tol * float(np.linalg.norm(sigma))))
+    """Number of singular values above ``max(tol.rank_tol, 2 k EPS) * ||C||_F``,
+    where ``||C||_F`` is the 2-norm of all k of ``C``'s singular values
+    ``sigma``: one below ``2 k EPS`` of it is rounding, even at rank_tol 0."""
+    floor = max(tol.rank_tol, 2 * sigma.size * EPS)
+    return int(np.sum(sigma > floor * float(np.linalg.norm(sigma))))
 
 
 def numerical_rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values above ``tol.rank_tol * ||C||_F``."""
+    """Number of singular values of ``C`` that :func:`svd_rank` counts."""
     return svd_rank(np.linalg.svd(as_complex_matrix(matrix), compute_uv=False), tol)
 
 

@@ -224,19 +224,17 @@ class BoundaryVector:
 @dataclass(frozen=True)
 class IdentityReport:
     """``passed``: the identity holds as a matrix equation, so for every
-    boundary vector.  ``max_defect``: the largest defect over the
-    ``samples`` drawn boundary vectors, which is 0 when ``passed``."""
+    boundary vector.  ``max_defect``: the largest defect over the drawn
+    boundary vectors, which is 0 when ``passed``."""
 
     passed: bool
     max_defect: Fraction
-    samples: int
 
 
 @dataclass(frozen=True)
 class DissipativitySampleReport:
     all_nonnegative: bool
     min_value: Fraction
-    samples: int
 
 
 def _vecmat(vector, rows) -> list[RationalComplex]:
@@ -411,66 +409,52 @@ def _difference(m: int, target: tuple[SparseRows, int], scale: int) -> tuple[Gau
     return rows, t_den * f_den
 
 
-def _identity_reports(m: int, sample_count: int, seed: int, *suites) -> list[IdentityReport]:
-    """One report per suite ``(target, scale)``, certifying the identity
-    ``yh target(m) yh* = scale Im(L0 y, y)`` for every boundary vector yh:
-    ``passed`` says that the Hermitian form ``D = target(m) - scale F`` is
-    the zero matrix, so a nonzero D fails even when every sample misses it.
-    ``max_defect`` is the largest ``|Re q| + |Im q|`` of ``q = yh D yh*``
-    over the sampled rational boundary vectors
-    ``random_boundary_vector(m, seed, index)``, index < sample_count.  Each
-    vector is drawn once, evaluated on every D and dropped before the
-    next."""
+def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityReport, IdentityReport]:
+    """Reports on the boundary-form and the canonical identity, in that
+    order, each certifying ``yh target(m) yh* = scale Im(L0 y, y)`` for
+    every boundary vector yh: ``passed`` says that the Hermitian form
+    ``D = target(m) - scale F`` is the zero matrix, so a nonzero D fails
+    even when every sample misses it.  ``max_defect`` is the largest
+    ``|Re q| + |Im q|`` of ``q = yh D yh*`` over the sampled rational
+    boundary vectors ``random_boundary_vector(m, seed, index)``,
+    index < sample_count.  Each vector is drawn once, evaluated on both D
+    and dropped before the next."""
     exact._check_order(m)
     if m > MAX_ORDER:
         raise BadShape(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
-    differences = [_difference(m, target(m), scale) for target, scale in suites]
-    worst = [0] * len(differences)
+    differences = [_difference(m, exact.boundary_form(m), 2), _difference(m, exact.canonical_target(m), 1)]
+    worst = [0, 0]
     for index in range(sample_count):
         v = _scaled_draws(seed, f"bv{index}", range(2 * m))
         for k, (rows, _) in enumerate(differences):
             re, im = _gaussian_dot(_gaussian_vecmat(v, rows), v)
             worst[k] = max(worst[k], abs(re) + abs(im))
-    return [
+    return tuple(
         IdentityReport(
             passed=not any(re or im for row in rows for re, im in row),
             max_defect=Fraction(defect, STREAM_SCALE**2 * den),
-            samples=sample_count,
         )
         for (rows, den), defect in zip(differences, worst)
-    ]
+    )
 
 
 def verify_boundary_form_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``2 Im(L0 y, y) = yh M yh*`` exactly, as the matrix equation
-    ``M - 2F = 0``.
+    ``M - 2F = 0``: the first report of :func:`verify_identities`.
 
     ``Im(L0 y, y)`` of the Hermite interpolant y of a boundary vector yh
     is the exact Gram form ``yh F yh*``.  The reported defect is the
     largest ``|2 Im(L0 y, y) - Re rhs| + |Im rhs|``, with
     ``rhs = yh M yh*``, over drawn small rational boundary vectors yh.
     """
-    [report] = _identity_reports(m, sample_count, seed, (exact.boundary_form, 2))
-    return report
+    return verify_identities(m, sample_count, seed)[0]
 
 
 def verify_canonical_identity(m: int, sample_count: int, seed: int) -> IdentityReport:
     """Check ``Im(L0 y, y) = Im<yv, y^>`` exactly, as the matrix equation
-    ``(S - S*)/2i - F = 0``; the defect is sampled as in
-    :func:`verify_boundary_form_identity`."""
-    [report] = _identity_reports(m, sample_count, seed, (exact.canonical_target, 1))
-    return report
-
-
-def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityReport, IdentityReport]:
-    """``(verify_boundary_form_identity(m, sample_count, seed),
-    verify_canonical_identity(m, sample_count, seed))``, with each boundary
-    vector drawn once for both."""
-    boundary, canonical = _identity_reports(
-        m, sample_count, seed, (exact.boundary_form, 2), (exact.canonical_target, 1)
-    )
-    return boundary, canonical
+    ``(S - S*)/2i - F = 0``: the second report of :func:`verify_identities`."""
+    return verify_identities(m, sample_count, seed)[1]
 
 
 def rational_nullspace(
@@ -516,6 +500,4 @@ def sample_dissipativity(
     draws = (_scaled_draws(seed, f"ns{index}", support) for index in range(sample_count))
     least = min(_form_value(terms, w) for w in draws) if support else 0  # K = 0 draws nothing
     min_value = Fraction(least, STREAM_SCALE**2 * (det[0] ** 2 + det[1] ** 2) * den)
-    return DissipativitySampleReport(
-        all_nonnegative=min_value >= 0, min_value=min_value, samples=sample_count
-    )
+    return DissipativitySampleReport(all_nonnegative=min_value >= 0, min_value=min_value)

@@ -15,7 +15,9 @@ class TolerancePolicy:
     ``definiteness_tol`` gates eigenvalue sign decisions, ``rank_tol``
     gates numerical-rank decisions, ``zero_tol`` gates coefficient zero
     tests.  All are relative to a scale derived from the data, so scaling
-    a whole problem never changes a verdict.
+    a whole problem never changes a verdict.  A rank decision never goes
+    below ``2 k eps`` of the 2-norm of the k singular values, the size
+    of rounding, so ``rank_tol = 0`` still rejects exactly dependent rows.
     """
 
     definiteness_tol: float = 1e-9

@@ -23,7 +23,7 @@ from bca.errors import (
     NotNormalized,
     OddOrderUnsupported,
 )
-from bca.numerics import row_span_basis, subspace_distance
+from bca.numerics import TolerancePolicy, row_span_basis, subspace_distance
 
 
 class TestValidate:
@@ -229,6 +229,15 @@ class TestNormalize:
         system = BoundaryConditionSystem(2, [[1, 0, 1, 0], [2, 0, 2, 0]])
         with pytest.raises(DependentRows):
             normalize(system)
+
+    def test_row_mixed_to_zero_rejected_before_dividing(self):
+        # the rows pass validate, but mixing their parallel order-0 pairs
+        # leaves a row whose only other entry, 0.001, is flushed as residue
+        system = BoundaryConditionSystem(2, [[1, 0.001, 0, 0], [2, 0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DependentRows, match="a row vanished during normalization"):
+                normalize(system, TolerancePolicy(zero_tol=1e-2))
 
 
 ONES_M2 = BoundaryConditionSystem(2, np.ones((2, 4)))

@@ -763,6 +763,18 @@ class TestErrorHandling:
         assert code == 2 and "cannot read" in err
 
     @pytest.mark.parametrize(
+        "command", ["check", "normalize", "regular", "dissipative", "selfadjoint", "to-contraction"]
+    )
+    def test_zero_row_is_dependent_at_tol_zero(self, tmp_path, command):
+        # the computed sigma_min of these rows is rounding, not rank
+        payload = {"m": 2, "conditions": [
+            {"a": [[0, 0], [0, 0]], "b": [[0, 0], [0, 0]]},
+            {"a": [[1, -1], [0, 0]], "b": [[-1, -1], [-2, 1]]},
+        ]}
+        code, out, err = run_cli([command, write_json(tmp_path / "zero.json", payload), "--tol", "0"])
+        assert (code, out, err) == (2, "", "error: rows have numerical rank 1 < 2\n")
+
+    @pytest.mark.parametrize(
         "raw",
         [b'{"m": 1,', b"[" * 100000 + b"]" * 100000, b'{"m": \xff}', b'{"m": ' + b"1" * 5000 + b"}"],
         ids=["truncated", "deeply-nested", "not-utf8", "integer-beyond-digit-limit"],

@@ -13,6 +13,7 @@ from bca.numerics import (
     rank_and_pinv,
     row_span_basis,
     subspace_distance,
+    svd_rank,
 )
 
 
@@ -79,6 +80,22 @@ class TestHermitianClassify:
             herm = (raw + raw.conj().T) / 2
             u = random_unitary(rng, n)
             assert hermitian_classify(u.conj().T @ herm @ u) is hermitian_classify(herm)
+
+
+class TestSvdRank:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0, 0, 0], [1 - 1j, 0, -1 - 1j, -2 + 1j]],
+            [[1, 2, 3, 4], [1 / 3, 2 / 3, 1, 4 / 3]],
+        ],
+        ids=["zero-row", "third-of-a-row"],
+    )
+    def test_rounding_is_no_rank_at_rank_tol_zero(self, rows):
+        # the rows are exactly dependent; their computed sigma_min is
+        # rounding (about 1e-16 of ||sigma||, not 0), below the 2 k eps floor
+        sigma = np.linalg.svd(np.asarray(rows, dtype=np.complex128), compute_uv=False)
+        assert svd_rank(sigma, TolerancePolicy(0.0, 0.0, 0.0)) == len(rows) - 1
 
 
 class TestNullspace:

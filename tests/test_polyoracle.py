@@ -580,7 +580,7 @@ class TestSampleDissipativity:
     def test_zero_form_draws_nothing(self, monkeypatch, system):
         # K = 0 on self-adjoint separated and periodic conditions
         assert self.draws_of(monkeypatch, system()) == []
-        assert sample_dissipativity(system(), 4, seed=3) == polyoracle.DissipativitySampleReport(True, 0, 4)
+        assert sample_dissipativity(system(), 4, seed=3) == polyoracle.DissipativitySampleReport(True, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rank_one_form_draws_one_index(self, monkeypatch, n):
