@@ -218,7 +218,7 @@ def rank_profile_orders(
     count_above = [m]  # number of rows with order > t for t = -1..m-1
     for t in range(m - 1):
         cols = list(range(t + 1, m)) + list(range(m + t + 1, 2 * m))
-        count_above.append(numerics.numerical_rank(scaled[:, cols], tol))
+        count_above.append(numerics.svd_rank(np.linalg.svd(scaled[:, cols], compute_uv=False), tol))
     count_above.append(0)
     orders: list[int] = []
     for t in range(m):

@@ -45,6 +45,7 @@ class ContractionParametrization:
     V: np.ndarray
 
     def __post_init__(self) -> None:
+        exact._check_order(self.m)
         mat = numerics.as_complex_matrix(self.V)
         if mat.shape != (self.m, self.m):
             raise NotAContraction(f"expected shape {(self.m, self.m)}, got {mat.shape}")
@@ -76,10 +77,11 @@ def to_contraction(
 
     Requires a dissipative system: ``verdict``, the system's
     :func:`~bca.forms.dissipativity_verdict` under ``tol``, is computed if
-    not passed.  With N the null-space basis, V is ``Z_minus pinv(Z_plus)``
+    not passed.  With N the null-space basis, V is ``Z_minus Z_plus^-1``
     for ``Z_pm = (Q +- iP) N``, from one SVD of ``Z_plus``.  ``Z_plus``
-    losing rank despite a dissipative verdict signals a tolerance conflict
-    and raises ``RankDeficiency`` rather than being patched over.
+    of rank below m (:func:`bca.numerics.svd_rank`) despite a dissipative
+    verdict signals a tolerance conflict and raises ``RankDeficiency``
+    rather than being patched over.
     """
     if verdict is None:
         verdict = forms.dissipativity_verdict(system, tol)
@@ -89,11 +91,13 @@ def to_contraction(
     basis = system.nullspace(tol)
     z_plus = (maps.Q + 1j * maps.P) @ basis
     z_minus = (maps.Q - 1j * maps.P) @ basis
-    rank, z_plus_inverse = numerics.rank_and_pinv(z_plus, tol)
-    if rank < system.m:
+    u, sigma, vt = np.linalg.svd(z_plus.conjugate(), full_matrices=False)
+    if numerics.svd_rank(sigma, tol) < system.m:
         raise RankDeficiency("forward coordinate map lost rank on a dissipative system")
+    # np.linalg.pinv(z_plus, rcond=tol.rank_tol) step for step, so bit for bit: at rank m it cuts no value
+    inverse = vt.T @ ((1 / sigma)[:, None] * u.T)
     try:
-        return ContractionParametrization(m=system.m, V=z_minus @ z_plus_inverse)
+        return ContractionParametrization(m=system.m, V=z_minus @ inverse)
     except NotAContraction as exc:
         # dissipative verdict and norm bound disagree: a tolerance conflict
         raise RankDeficiency(str(exc)) from exc

@@ -188,18 +188,6 @@ def _nullspace(rows: GaussianRows) -> tuple[GaussianRows, Gaussian]:
     return basis, d
 
 
-def _gaussian_vecmat(vector, rows) -> list[Gaussian]:
-    """Gaussian-integer row vector times a Gaussian-integer matrix."""
-    out_re, out_im = [0] * len(rows[0]), [0] * len(rows[0])
-    for (wr, wi), row in zip(vector, rows):
-        if not (wr or wi):
-            continue
-        for col, (xr, xi) in enumerate(row):
-            out_re[col] += wr * xr - wi * xi
-            out_im[col] += wr * xi + wi * xr
-    return list(zip(out_re, out_im))
-
-
 def _gaussian_dot(u, v) -> Gaussian:
     """``u v*``: the sum of ``u_k conj(v_k)`` over Gaussian integers."""
     re = im = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, numerics
-from .bc_core import BoundaryConditionSystem
+from .bc_core import BoundaryConditionSystem, _binary_scaled_rows
 from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
 
@@ -77,14 +77,16 @@ def dissipativity_verdict(
 def dual_gram(system: BoundaryConditionSystem) -> np.ndarray:
     """Gram matrix of the boundary form on the conjugated coefficient rows.
 
-    ``G_L = conj(A) M0 A^t + conj(B) M1 B^t``.  Dissipativity of the
+    ``G_L = conj(C) M C^t`` for the rows C of ``[A | B]``, each first
+    scaled by a power of two (:func:`bca.bc_core._binary_scaled_rows`):
+    a congruence, so the inertia is kept, and rows near either end of the
+    double range neither overflow nor vanish.  Dissipativity of the
     system is equivalent to ``G_L <= 0``; this is the coefficient-side
     dual of :func:`gram_on_nullspace` and is kept consistent with it by
     property tests.
     """
-    m, a, b = system.m, system.a, system.b
-    form = build_M(m)
-    gram = np.conj(a) @ form[:m, :m] @ a.T + np.conj(b) @ form[m:, m:] @ b.T
+    rows = _binary_scaled_rows(system.coeffs)
+    gram = np.conj(rows) @ build_M(system.m) @ rows.T
     return (gram + gram.conj().T) / 2.0
 
 

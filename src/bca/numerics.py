@@ -82,19 +82,6 @@ def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> in
     return int(np.sum(sigma > floor * float(np.linalg.norm(sigma))))
 
 
-def numerical_rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
-    """Number of singular values of ``C`` that :func:`svd_rank` counts."""
-    return svd_rank(np.linalg.svd(as_complex_matrix(matrix), compute_uv=False), tol)
-
-
-def rank_and_pinv(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> tuple[int, np.ndarray]:
-    """Rank (as :func:`numerical_rank`) and pseudo-inverse of ``C`` from one SVD, the
-    latter built step for step, and so bit for bit, as ``np.linalg.pinv(C, rcond=tol.rank_tol)``."""
-    u, sigma, vt = np.linalg.svd(as_complex_matrix(matrix).conjugate(), full_matrices=False)
-    inverse = np.divide(1, sigma, out=np.zeros_like(sigma), where=sigma > tol.rank_tol * np.amax(sigma))
-    return svd_rank(sigma, tol), np.matmul(vt.T, inverse[:, None] * u.T)
-
-
 def row_span_basis(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the rows of ``C``."""
     _, sigma, vh = np.linalg.svd(as_complex_matrix(matrix))

@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 from . import exact
 from .errors import BadShape, DependentRows, DimensionMismatch, InvalidInput
-from .exact import Gaussian, GaussianRows, SparseRows, _gaussian_dot, _gaussian_vecmat, _integer_rows, _nullspace
+from .exact import Gaussian, GaussianRows, SparseRows, _gaussian_dot, _integer_rows, _nullspace
 
 if TYPE_CHECKING:
     from .bc_core import BoundaryConditionSystem
@@ -237,18 +237,6 @@ class DissipativitySampleReport:
     min_value: Fraction
 
 
-def _vecmat(vector, rows) -> list[RationalComplex]:
-    """RationalComplex row vector times an exact matrix, ``sum_i vector[i] rows[i]``."""
-    out = [QC_ZERO] * len(rows[0])
-    for weight, row in zip(vector, rows):
-        if not weight:
-            continue
-        for col, value in enumerate(row):
-            if value:
-                out[col] = out[col] + weight * value
-    return out
-
-
 @functools.cache
 def _hermite_matrix(m: int) -> tuple[tuple[int, ...], ...]:
     """Integers whose row i, over ``(m-1)!``, holds the coefficients of the
@@ -280,8 +268,8 @@ def hermite_interpolant(m: int, target: BoundaryVector) -> RationalComplexPolyno
     exact._check_order(m)
     if target.m != m:
         raise DimensionMismatch(f"target has order {target.m}, expected {m}")
-    scaled = RationalComplexPolynomial(_vecmat(target.components, _hermite_matrix(m)))
-    return scaled * Fraction(1, math.factorial(m - 1))
+    terms = (RationalComplexPolynomial(row) * w for row, w in zip(_hermite_matrix(m), target.components) if w)
+    return sum(terms, RationalComplexPolynomial([])) * Fraction(1, math.factorial(m - 1))
 
 
 def _gram(m: int) -> tuple[list[list[int]], int]:
@@ -428,7 +416,7 @@ def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityRep
     for index in range(sample_count):
         v = _scaled_draws(seed, f"bv{index}", range(2 * m))
         for k, (rows, _) in enumerate(differences):
-            re, im = _gaussian_dot(_gaussian_vecmat(v, rows), v)
+            re, im = _gaussian_dot([_gaussian_dot(v, row) for row in rows], v)  # conj(v D v*): the same |Re| + |Im|
             worst[k] = max(worst[k], abs(re) + abs(im))
     return tuple(
         IdentityReport(

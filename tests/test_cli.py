@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core, cli, numerics, polyoracle
+from bca import bc_core, cli, contraction, numerics, polyoracle
 from bca.cli import _DIGIT_CAP, _MAX_DIGITS, _NUMBER, FileFormatError, _field, main
 
 
@@ -849,22 +849,23 @@ class TestErrorHandling:
         assert err == f"error: {path!r}: top-level value must be an object\n"
 
     @pytest.mark.parametrize(
-        "name, fake, message",
+        "module, name, fake, message",
         [
             (
-                "rank_and_pinv",
-                lambda matrix, tol=None: (matrix.shape[0] - 1, np.linalg.pinv(matrix)),
+                contraction,
+                "canonical_maps",  # P = iQ, so Z_plus = (Q + iP) N = 0
+                lambda m, maps=contraction.canonical_maps: contraction.CanonicalMaps(m, 1j * maps(m).Q, maps(m).Q),
                 "forward coordinate map lost rank on a dissipative system",
             ),
-            ("operator_norm", lambda matrix: 2.0, "operator norm 2.0 exceeds 1"),
+            (numerics, "operator_norm", lambda matrix: 2.0, "operator norm 2.0 exceeds 1"),
         ],
         ids=["forward-map-loses-rank", "norm-above-one"],
     )
-    def test_contraction_tolerance_conflict_exits_3(self, tmp_path, monkeypatch, name, fake, message):
+    def test_contraction_tolerance_conflict_exits_3(self, tmp_path, monkeypatch, module, name, fake, message):
         # both guards of to_contraction: a dissipative system whose forward
         # map loses rank, or whose V fails the norm bound
         path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
-        monkeypatch.setattr(numerics, name, fake)
+        monkeypatch.setattr(module, name, fake)
         code, out, err = run_cli(["to-contraction", path])
         assert code == 3 and out == ""
         assert err == f"numerical failure: {message}\n"

@@ -21,7 +21,7 @@ from bca import (
 )
 from bca import exact, forms, numerics
 from bca.contraction import CanonicalMaps, ContractionParametrization
-from bca.errors import DependentRows, DimensionMismatch, NotAContraction, NotDissipative
+from bca.errors import BadShape, DependentRows, DimensionMismatch, NotAContraction, NotDissipative
 
 R2 = 1 / np.sqrt(2)
 
@@ -107,6 +107,14 @@ class TestContractionParametrization:
 
     def test_accepts_boundary_norm(self):
         ContractionParametrization(2, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "m, V", [(True, [[0.5]]), (2.0, np.eye(2) / 2), (0, [[0.5]])], ids=["bool", "float", "zero"]
+    )
+    def test_rejects_an_order_that_is_not_a_positive_integer(self, m, V):
+        # the check that BoundaryConditionSystem makes, before V is read
+        with pytest.raises(BadShape, match="order must be"):
+            ContractionParametrization(m, V)
 
 
 class TestToContraction:

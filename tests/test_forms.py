@@ -140,6 +140,17 @@ class TestDualGram:
         gram = dual_gram(helpers.odd_irregular(2))
         assert np.allclose(gram, np.diag([0, 0, -1.0]), atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "rows", [[[1e308, 1.7e308]], [[1e-320, 3e-320 + 1e-321j]]], ids=["near-overflow", "subnormal"]
+    )
+    def test_range_edges_classify_as_the_nullspace_gram(self, rows):
+        # the raw rows overflow (huge) or round to a zero Gram (subnormal);
+        # scaling each row by a power of two keeps the inertia
+        system = BoundaryConditionSystem(1, rows)
+        verdict = dissipativity_verdict(system)
+        assert verdict.dissipative and not verdict.selfadjoint
+        assert hermitian_classify(dual_gram(system)) is Definiteness.NSD
+
     def test_duality_with_nullspace_gram(self):
         rng = np.random.default_rng(32)
         for m in (1, 2, 3):

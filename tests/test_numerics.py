@@ -8,9 +8,7 @@ from bca.numerics import (
     Definiteness,
     TolerancePolicy,
     hermitian_classify,
-    numerical_rank,
     operator_norm,
-    rank_and_pinv,
     row_span_basis,
     subspace_distance,
     svd_rank,
@@ -96,6 +94,14 @@ class TestSvdRank:
         # rounding (about 1e-16 of ||sigma||, not 0), below the 2 k eps floor
         sigma = np.linalg.svd(np.asarray(rows, dtype=np.complex128), compute_uv=False)
         assert svd_rank(sigma, TolerancePolicy(0.0, 0.0, 0.0)) == len(rows) - 1
+
+    @pytest.mark.parametrize("rank", [1, 2, 4], ids=["rank-1", "rank-2", "full"])
+    def test_counts_the_rank_of_a_product(self, rank):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            left = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            right = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+            assert svd_rank(np.linalg.svd(left @ right, compute_uv=False)) == rank
 
 
 class TestNullspace:
@@ -186,17 +192,3 @@ class TestOperatorNorm:
             assert operator_norm(c * mat) == pytest.approx(
                 abs(c) * operator_norm(mat), rel=1e-12, abs=1e-12
             )
-
-
-class TestRankAndPinv:
-    @pytest.mark.parametrize("rank", [1, 2, 4], ids=["rank-1", "rank-2", "full"])
-    def test_matches_numerical_rank_and_numpy_pinv(self, rank):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            left = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-            right = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
-            mat = left @ right
-            found, inverse = rank_and_pinv(mat)
-            assert found == numerical_rank(mat) == rank
-            expected = np.linalg.pinv(mat, rcond=DEFAULT_TOLERANCES.rank_tol)
-            assert inverse.tobytes() == expected.tobytes()

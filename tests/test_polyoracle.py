@@ -55,6 +55,15 @@ def densify(rows, size):
     return [[row.get(d, (0, 0)) for d in range(size)] for row in rows]
 
 
+def gaussian_vecmat(vector, rows):
+    """``vector rows``: a Gaussian-integer row vector times a dense Gaussian-integer matrix."""
+    return [
+        (sum(wr * xr - wi * xi for (wr, wi), (xr, xi) in zip(vector, col)),
+         sum(wr * xi + wi * xr for (wr, wi), (xr, xi) in zip(vector, col)))
+        for col in zip(*rows)
+    ]
+
+
 def add_entry(rows, c, d, re, im=0):
     """Add ``re + i im`` to entry (c, d) of sparse rows."""
     old_re, old_im = rows[c].get(d, (0, 0))
@@ -140,10 +149,10 @@ def dense_min_value(system, sample_count, seed):
     basis, det = exact._nullspace(exact._integer_rows(system.exact_coeffs))
     form, den = polyoracle._imaginary_form(m)
     form = densify(form, 2 * m)
-    lefts = [exact._gaussian_vecmat(vec, form) for vec in basis]
+    lefts = [gaussian_vecmat(vec, form) for vec in basis]
     restricted = [[exact._gaussian_dot(left, vec) for vec in basis] for left in lefts]
     weights = (polyoracle._scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
-    least = min(exact._gaussian_dot(exact._gaussian_vecmat(w, restricted), w)[0] for w in weights)
+    least = min(exact._gaussian_dot(gaussian_vecmat(w, restricted), w)[0] for w in weights)
     return Fraction(least, 144 * (det[0] ** 2 + det[1] ** 2) * den)
 
 
@@ -305,7 +314,7 @@ class TestGram:
             assert MINUS_I_POWERS[m % 4] * value == expected
             scaled = list(polyoracle._scaled_draws(31, f"bv{index}", range(2 * m)))
             assert [qc(*z) for z in scaled] == [12 * z for z in target.components]
-            re, im = polyoracle._gaussian_dot(polyoracle._gaussian_vecmat(scaled, integer_form), scaled)
+            re, im = polyoracle._gaussian_dot(gaussian_vecmat(scaled, integer_form), scaled)
             assert (Fraction(re, 144 * den), im) == (expected.im, 0)
 
     @pytest.mark.parametrize("m", range(1, 17))
@@ -355,14 +364,14 @@ class TestGram:
             assert all(value == (0, 0) for row in rows for value in row)
 
 
-def perturb_boundary_form(monkeypatch, mirror):
-    """Add 1 to entry (0, 2m-1) of ``exact.boundary_form`` and ``mirror``
-    to entry (2m-1, 0)."""
+def perturb_boundary_form(monkeypatch, mirror, imag=0):
+    """Add ``1 + i imag`` to entry (0, 2m-1) of ``exact.boundary_form`` and
+    ``mirror`` to entry (2m-1, 0)."""
     boundary_form = exact.boundary_form
 
     def perturbed(order):
         rows, den = boundary_form(order)
-        add_entry(rows, 0, 2 * order - 1, den)
+        add_entry(rows, 0, 2 * order - 1, den, imag * den)
         if mirror:
             add_entry(rows, 2 * order - 1, 0, mirror * den)
         return rows, den
@@ -408,6 +417,25 @@ class TestIdentitySuites:
         report = verify_boundary_form_identity(m, sample_count=5, seed=21)
         assert report.passed is False
         assert report.max_defect > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "mirror, imag", [(0, 0), (-1, 0), (0, 1)], ids=["one-entry", "anti-hermitian", "complex-one-entry"]
+    )
+    def test_max_defect_is_the_dense_maximum(self, monkeypatch, m, mirror, imag):
+        # the suite evaluates conj(v D v*), whose |Re| + |Im| is that of
+        # q = v D v* for any D, Hermitian or not: compare with the dense q
+        perturb_boundary_form(monkeypatch, mirror, imag)
+        target, t_den = exact.boundary_form(m)
+        form, f_den = polyoracle._imaginary_form(m)
+        difference = [
+            [qc(Fraction(tr, t_den) - Fraction(2 * fr, f_den), Fraction(ti, t_den) - Fraction(2 * fi, f_den))
+             for (tr, ti), (fr, fi) in zip(t_row, f_row)]
+            for t_row, f_row in zip(densify(target, 2 * m), densify(form, 2 * m))
+        ]
+        values = [form_value(difference, random_boundary_vector(m, 21, index).components) for index in range(5)]
+        report = verify_boundary_form_identity(m, sample_count=5, seed=21)
+        assert report.max_defect == max(abs(q.re) + abs(q.im) for q in values) > 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_flipped_canonical_sign_is_caught(self, monkeypatch, m):
