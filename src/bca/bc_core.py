@@ -22,15 +22,6 @@ from .errors import BadShape, DependentRows, NotNormalized, OddOrderUnsupported
 from .numerics import DEFAULT_TOLERANCES, TolerancePolicy
 
 
-def _binary_scaled_rows(coeffs: np.ndarray) -> np.ndarray:
-    """Each row scaled by a power of two so that its largest real or
-    imaginary part lies in [1, 2): exact in binary, keeps the row span, and
-    keeps rows near either end of the double range from overflowing."""
-    top = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)).max(axis=1)
-    shift = (1 - np.frexp(top)[1])[:, None]
-    return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryConditionSystem:
     """Order ``m`` plus the ``m x 2m`` coefficient matrix ``[A | B]``."""
@@ -53,23 +44,17 @@ class BoundaryConditionSystem:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
-            pairs = tuple(  # a Fraction part is kept, not rebuilt
-                tuple((re if type(re) is Fraction else Fraction(re), im if type(im) is Fraction else Fraction(im))
-                      for re, im in row) for row in self.exact)
-            # int true division rounds correctly, so each double is float() of its part
-            rounded = [[complex(re.numerator / re.denominator, im.numerator / im.denominator) for re, im in row]
-                       for row in pairs]
+            pairs, rounded = [], []
+            for j, row in enumerate(self.exact):
+                try:  # a Fraction part is kept, not rebuilt; int true division rounds correctly
+                    pairs.append(tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in z) for z in row))
+                    rounded.append([complex(re.numerator / re.denominator, im.numerator / im.denominator)
+                                    for re, im in pairs[-1]])
+                except (TypeError, ValueError, OverflowError) as error:
+                    raise BadShape(f"exact[{j}] must hold (re, im) pairs in the double range: {error}") from None
             if rounded != coeffs.tolist():
                 raise BadShape("exact coefficients must round to coeffs")
-            object.__setattr__(self, "exact", pairs)
-
-    @property
-    def exact_coeffs(self) -> tuple:
-        """``coeffs`` as exact (re, im) Fraction pairs: the input's own
-        rationals when it gave them, else the exact value of each double."""
-        if self.exact is not None:
-            return self.exact
-        return tuple(tuple((Fraction(z.real), Fraction(z.imag)) for z in row) for row in self.coeffs)
+            object.__setattr__(self, "exact", tuple(pairs))
 
     @property
     def a(self) -> np.ndarray:
@@ -82,11 +67,28 @@ class BoundaryConditionSystem:
         return self.coeffs[:, self.m :]
 
     @cached_property
+    def binary_scaled(self) -> np.ndarray:
+        """Read-only ``coeffs``, each row times a power of two that puts its
+        largest real or imaginary part in [1, 2): exact, keeps the row span,
+        and keeps rows near either end of the double range from overflowing."""
+        top = np.maximum(np.abs(self.coeffs.real), np.abs(self.coeffs.imag)).max(axis=1)
+        shift = (1 - np.frexp(top)[1])[:, None]
+        rows = np.ldexp(self.coeffs.real, shift) + 1j * np.ldexp(self.coeffs.imag, shift)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def integer_rows(self) -> tuple:
+        """Gaussian-integer rows with the span of the input's own rationals,
+        else of the exact value of each double (:func:`exact._integer_rows`)."""
+        pairs = self.exact or [[(z.real, z.imag) for z in row] for row in self.coeffs.tolist()]
+        return tuple(tuple(row) for row in exact._integer_rows(pairs))
+
+    @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and right singular vectors of ``coeffs``, its
-        rows first scaled by :func:`_binary_scaled_rows`; computed once per
-        system; :func:`validate` reads the rank from it."""
-        _, sigma, vh = np.linalg.svd(_binary_scaled_rows(self.coeffs))
+        """Singular values and right singular vectors of :attr:`binary_scaled`,
+        computed once per system; :func:`validate` reads the rank from it."""
+        _, sigma, vh = np.linalg.svd(self.binary_scaled)
         return sigma, vh
 
     def nullspace(self, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -150,7 +152,7 @@ def normalize(
 ) -> NormalizedSystem:
     """Rewrite the system in minimal form, preserving its row span.
 
-    Rows are scaled to unit largest entry, after :func:`_binary_scaled_rows`
+    Rows are scaled to unit largest entry, after ``system.binary_scaled``
     (so subnormal rows do not overflow), then one pass over the
     derivative index k = m-1, ..., 0 builds the column rank profile: the
     rows without an order vanish beyond k, and those whose (a_k, b_k)
@@ -164,8 +166,7 @@ def normalize(
     """
     validate(system, tol)
     m = system.m
-    scaled = _binary_scaled_rows(system.coeffs)
-    rows = scaled / np.abs(scaled).max(axis=1, keepdims=True)
+    rows = system.binary_scaled / np.abs(system.binary_scaled).max(axis=1, keepdims=True)
     orders = np.full(m, -1)
     derivative = np.arange(2 * m) % m  # derivative index of each column
     for k in range(m - 1, -1, -1):
@@ -207,18 +208,17 @@ def rank_profile_orders(
 
     ``#{j : k_j > t}`` equals the rank of the submatrix formed by the
     columns of derivative index > t at both endpoints; differencing the
-    profile yields the multiset.  The blocks are taken of the rows scaled
-    by :func:`_binary_scaled_rows`, which keeps every block's rank and
-    keeps rows near either end of the double range from overflowing.
+    profile yields the multiset.  The blocks are taken of
+    ``system.binary_scaled``, which keeps every block's rank and keeps
+    rows near either end of the double range from overflowing.
     Serves as an independent cross-check of :func:`orders_multiset`.
     """
     validate(system, tol)
     m = system.m
-    scaled = _binary_scaled_rows(system.coeffs)
     count_above = [m]  # number of rows with order > t for t = -1..m-1
     for t in range(m - 1):
         cols = list(range(t + 1, m)) + list(range(m + t + 1, 2 * m))
-        count_above.append(numerics.svd_rank(np.linalg.svd(scaled[:, cols], compute_uv=False), tol))
+        count_above.append(numerics.svd_rank(np.linalg.svd(system.binary_scaled[:, cols], compute_uv=False), tol))
     count_above.append(0)
     orders: list[int] = []
     for t in range(m):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, numerics
-from .bc_core import BoundaryConditionSystem, _binary_scaled_rows
+from .bc_core import BoundaryConditionSystem
 from .numerics import DEFAULT_TOLERANCES, Definiteness, TolerancePolicy
 
 
@@ -78,14 +78,14 @@ def dual_gram(system: BoundaryConditionSystem) -> np.ndarray:
     """Gram matrix of the boundary form on the conjugated coefficient rows.
 
     ``G_L = conj(C) M C^t`` for the rows C of ``[A | B]``, each first
-    scaled by a power of two (:func:`bca.bc_core._binary_scaled_rows`):
-    a congruence, so the inertia is kept, and rows near either end of the
-    double range neither overflow nor vanish.  Dissipativity of the
+    scaled by a power of two (``system.binary_scaled``): a congruence, so
+    the inertia is kept, and rows near either end of the double range
+    neither overflow nor vanish.  Dissipativity of the
     system is equivalent to ``G_L <= 0``; this is the coefficient-side
     dual of :func:`gram_on_nullspace` and is kept consistent with it by
     property tests.
     """
-    rows = _binary_scaled_rows(system.coeffs)
+    rows = system.binary_scaled
     gram = np.conj(rows) @ build_M(system.m) @ rows.T
     return (gram + gram.conj().T) / 2.0
 

@@ -27,11 +27,11 @@ kept once, by their nonzeros: the targets are the sparse closed forms of
 form is fixed by its values, so D is the zero matrix exactly when the
 identity holds for every boundary vector: that is the certificate a
 suite reports as ``passed``.  The reported defect is the largest value
-of D at drawn boundary vectors.  The dissipativity spot-check scales each
-condition row to Gaussian integers, eliminates by Bareiss's fraction-free
-Gauss-Jordan method (every division exact and checked; a row is skipped
-when its update is itself) to the RREF null-space basis times one
-Gaussian integer, reads F by its 2m nonzeros and draws weights only on
+of D at drawn boundary vectors.  The dissipativity spot-check reads the
+condition rows as ``system.integer_rows``, eliminates by Bareiss's
+fraction-free Gauss-Jordan method (every division exact and checked; a row
+is skipped when its update is itself) to the RREF null-space basis times
+one Gaussian integer, reads F by its 2m nonzeros and draws weights only on
 the support of the restricted form, so a zero form draws nothing.
 Every sampling loop draws one vector at a time, evaluates it and drops
 it, so memory does not grow with the sample count.  RationalComplex serves
@@ -462,8 +462,8 @@ def sample_dissipativity(
 ) -> DissipativitySampleReport:
     """Spot-check ``Im(L0 y, y) >= 0`` on exact solutions of the conditions.
 
-    The conditions enter exactly (the input's own rationals, or the exact
-    binary value of each double), each row scaled to Gaussian integers.
+    The conditions enter exactly, as ``system.integer_rows`` (the input's
+    own rationals or each double's exact value, scaled to Gaussian integers).
     Fraction-free elimination yields the RREF null-space basis of
     :func:`rational_nullspace` times one Gaussian integer d; the minimum
     of ``Im(L0 y, y) = w K w*`` over random rational weights w is
@@ -474,7 +474,7 @@ def sample_dissipativity(
     """
     _check_sample_count(sample_count)
     m = system.m
-    basis, det = _nullspace(_integer_rows(system.exact_coeffs))
+    basis, det = _nullspace(system.integer_rows)
     if len(basis) != m:
         raise DependentRows(f"expected null space of dimension {m}, got {len(basis)}")
     form, den = _imaginary_form(m)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
+from bca import exact as exact_module
 from bca import (
     BoundaryConditionSystem,
     NormalizedSystem,
@@ -58,8 +59,10 @@ class TestValidate:
     def test_exact_coefficients_round_to_coeffs(self):
         exact = [[(1, 0), (Fraction(-3, 5), Fraction(-4, 5))]]
         system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=exact)
-        assert system.exact_coeffs == (((Fraction(1), Fraction(0)), (Fraction(-3, 5), Fraction(-4, 5))),)
-        assert helpers.transport(1, 0.5).exact_coeffs == (((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0))),)
+        assert system.exact == (((Fraction(1), Fraction(0)), (Fraction(-3, 5), Fraction(-4, 5))),)
+        assert system.integer_rows == (((5, 0), (-3, -4)),)
+        assert helpers.transport(1, 0.5).exact is None
+        assert helpers.transport(1, 0.5).integer_rows == (((2, 0), (1, 0)),)
         with pytest.raises(BadShape):
             BoundaryConditionSystem(1, [[1, -0.5 - 0.8j]], exact=exact)
         with pytest.raises(BadShape):
@@ -95,6 +98,42 @@ class TestValidate:
                 BoundaryConditionSystem(1, [[complex(double, -off), 1]], exact=exact)
             with pytest.raises(BadShape, match="round to coeffs"):
                 BoundaryConditionSystem(1, [[complex(double, -double), 1]], exact=[[(Fraction(off), -part), (1, 0)]])
+
+
+def reference_binary_scaled(coeffs):
+    # the module-level helper that BoundaryConditionSystem.binary_scaled replaced
+    top = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag)).max(axis=1)
+    shift = (1 - np.frexp(top)[1])[:, None]
+    return np.ldexp(coeffs.real, shift) + 1j * np.ldexp(coeffs.imag, shift)
+
+
+class TestRowForms:
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(1, [[1e308, 1.7e308]]), (1, [[1e-320, 3e-320 + 1e-321j]]), (4, None)],
+        ids=["edge", "tiny", "random-m4"],
+    )
+    def test_binary_scaled_matches_the_reference_bit_for_bit(self, m, rows):
+        system = BoundaryConditionSystem(m, rows) if rows else helpers.random_system(np.random.default_rng(4), m)
+        scaled = system.binary_scaled
+        assert scaled.tobytes() == reference_binary_scaled(system.coeffs).tobytes()
+        assert system.binary_scaled is scaled
+        assert not scaled.flags.writeable
+        with pytest.raises(ValueError):
+            scaled[0, 0] = 0
+
+    @pytest.mark.parametrize("z", [1.7e308, 5e-324, -0.0, 0.1, 3e-320 + 1e-321j])
+    def test_float_integer_rows_are_those_of_the_exact_doubles(self, z):
+        system = BoundaryConditionSystem(1, [[z, 1 - 0.5j]])
+        pairs = [[(Fraction(w.real), Fraction(w.imag)) for w in row] for row in system.coeffs.tolist()]
+        assert system.integer_rows == tuple(tuple(row) for row in exact_module._integer_rows(pairs))
+        assert system.integer_rows is system.integer_rows
+
+    def test_rational_integer_rows_keep_the_input_rationals(self):
+        # 1/3 is not its double: the rows come from the input's own rationals
+        rows = [[(Fraction(1, 3), 0), (1, Fraction(1, 2))]]
+        system = BoundaryConditionSystem(1, [[1 / 3, 1 + 0.5j]], exact=rows)
+        assert system.integer_rows == (((2, 0), (6, 3)),)
 
 
 class TestNormalize:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core, cli, contraction, numerics, polyoracle
+from bca import bc_core, cli, contraction, exact, numerics, polyoracle
 from bca.cli import _DIGIT_CAP, _MAX_DIGITS, _NUMBER, FileFormatError, _field, main
 
 
@@ -1169,6 +1169,12 @@ class TestFactorizeOnce:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # the binary-scaled rows and the Gaussian-integer rows are each built once
+        calls = []
+        frexp, integer_rows = np.frexp, exact._integer_rows
+        monkeypatch.setattr(np, "frexp", lambda *args: calls.append("frexp") or frexp(*args))
+        monkeypatch.setattr(exact, "_integer_rows", lambda rows: calls.append("integer_rows") or integer_rows(rows))
         code, out, _ = run_cli(["check", path, "--samples", "1"])
         assert code == 0 and json.loads(out)["verdicts"]["dissipative"]
         assert shapes.count((m, 2 * m)) == 1
+        assert sorted(calls) == ["frexp", "integer_rows"]

@@ -51,6 +51,12 @@ CASES = [
     pytest.param(lambda: BoundaryConditionSystem(2.0, [[1, 0, 0, 0], [0, 0, 1, 0]]), BadShape, id="system-order-float"),
     pytest.param(lambda: TolerancePolicy(rank_tol=1.0), InvalidInput, id="tolerance"),
     pytest.param(lambda: numerics.as_complex_matrix([[math.inf]]), BadShape, id="nonfinite-matrix"),
+    # malformed exact parts of a system
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(math.inf, 0), (0, 0)]]), BadShape, id="exact-inf"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(math.nan, 0), (0, 0)]]), BadShape, id="exact-nan"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(1, 0, 0), (0, 0)]]), BadShape, id="exact-triple"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[1 + 0j, 0j]]), BadShape, id="exact-complex"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(10**400, 0), (0, 0)]]), BadShape, id="exact-overflow"),
 ]
 
 
@@ -59,6 +65,11 @@ def test_input_errors_are_invalid_input_and_value_error(call, error):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, InvalidInput) and isinstance(info.value, ValueError)
+
+
+def test_malformed_exact_part_names_its_row():
+    with pytest.raises(BadShape, match=r"^exact\[1\] must hold \(re, im\) pairs"):
+        BoundaryConditionSystem(1, [[1, 0]], exact=[[(1, 0), (0, 0)], [(math.nan, 0), (0, 0)]])
 
 
 def test_numpy_integers_are_counts_and_orders():

@@ -138,15 +138,23 @@ def reference_nullspace(matrix):
     return basis
 
 
+def fraction_rows(system):
+    """The rows as exact (re, im) Fraction pairs: the input's own rationals,
+    else the exact value of each double."""
+    if system.exact is not None:
+        return system.exact
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in system.coeffs.tolist()]
+
+
 def rational_rows(system):
-    return [[RationalComplex(re, im) for re, im in row] for row in system.exact_coeffs]
+    return [[RationalComplex(re, im) for re, im in row] for row in fraction_rows(system)]
 
 
 def dense_min_value(system, sample_count, seed):
     """The spot-check's minimum by the dense route: all of ``K = N F N*``
     from the dense F, and all m weights of every sample drawn."""
     m = system.m
-    basis, det = exact._nullspace(exact._integer_rows(system.exact_coeffs))
+    basis, det = exact._nullspace(exact._integer_rows(fraction_rows(system)))
     form, den = polyoracle._imaginary_form(m)
     form = densify(form, 2 * m)
     lefts = [gaussian_vecmat(vec, form) for vec in basis]
@@ -580,7 +588,7 @@ class TestSampleDissipativity:
         rng = np.random.default_rng(60 + m)
         floats = helpers.random_system(rng, m)
         pq = exact_system(rng, m)
-        mixed = exact_system(rng, m).exact_coeffs
+        mixed = exact_system(rng, m).exact
         mixed = BoundaryConditionSystem(  # p/q rows, some of them given as their doubles
             m, [[complex(float(re), float(im)) for re, im in row] for row in mixed],
             exact=[row if j % 2 else [(float(re), float(im)) for re, im in row] for j, row in enumerate(mixed)],
@@ -668,7 +676,7 @@ class TestSampleDissipativity:
 class TestBareiss:
     @staticmethod
     def assert_matches_rref(system):
-        rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
+        rows, pivots, det = exact._bareiss(system.integer_rows)
         rref_rows, rref_pivots = _rref(rational_rows(system))
         assert pivots == rref_pivots
         assert [[qc(*value) / qc(*det) for value in row] for row in rows] == rref_rows
@@ -683,7 +691,7 @@ class TestBareiss:
     def test_rank_deficient_matches_rref(self, m, rank):
         system = exact_system(np.random.default_rng(80 + m), m, rank=rank)
         self.assert_matches_rref(system)
-        rows, pivots, det = exact._bareiss(exact._integer_rows(system.exact_coeffs))
+        rows, pivots, det = exact._bareiss(system.integer_rows)
         assert len(pivots) == rank
         # the pivot block is d I: d on each pivot row, 0 in every other row
         assert [[row[col] for col in pivots] for row in rows] == [
@@ -700,8 +708,8 @@ class TestBareiss:
             2, [[complex(float(re), float(im)) for re, im in row] for row in rows], exact=rows
         )
         self.assert_matches_rref(system)
-        integer_rows = exact._integer_rows(system.exact_coeffs)
-        assert integer_rows[0] == [(0, 0), (4, 2), (1, 0), (2, 0)]  # scaled by lcm 2
+        integer_rows = system.integer_rows
+        assert integer_rows[0] == ((0, 0), (4, 2), (1, 0), (2, 0))  # scaled by lcm 2
         assert exact._bareiss(integer_rows)[0][0][0] != (0, 0)
 
     @staticmethod
