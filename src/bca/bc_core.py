@@ -29,7 +29,8 @@ class BoundaryConditionSystem:
     m: int
     coeffs: np.ndarray
     # The input's exact coefficients as (re, im) Fraction pairs, each
-    # rounding to its entry of coeffs; None when coeffs are the data.
+    # rounding to its entry of coeffs; None when coeffs are the data, as
+    # for a file of doubles only.
     exact: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -45,6 +46,8 @@ class BoundaryConditionSystem:
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
             pairs, rounded = [], []
+            if not hasattr(type(self.exact), "__iter__"):
+                raise BadShape(f"exact must be a sequence of rows, got {type(self.exact).__name__}")
             for j, row in enumerate(self.exact):
                 try:  # a Fraction part is kept, not rebuilt; int true division rounds correctly
                     pairs.append(tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in z) for z in row))

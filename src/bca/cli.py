@@ -163,13 +163,15 @@ def _parse_string(value: str, where: str, *indices: int) -> tuple[Fraction, floa
     return _ratio(-numerator if sign == "-" else numerator, 10 ** max(-shift, 0))
 
 
-def _parse_part(value, where: str, *indices: int) -> tuple[Fraction, float]:
-    """A real number of the input, exactly, and its nearest double: ints, floats
-    and "p/q" strings convert to Fraction without rounding.  A string is
-    judged by its value, so zeros that carry no value count toward no limit.
-    The field, ``where`` indexed by ``indices``, is named only in an error."""
+def _parse_part(value, where: str, *indices: int) -> tuple[Fraction | float, float]:
+    """A real number of the input, exactly, and its nearest double: a double
+    is its own exact value, and ints and "p/q" strings convert to Fraction
+    without rounding.  A string is judged by its value, so zeros that carry
+    no value count toward no limit.  The field, ``where`` indexed by
+    ``indices``, is named only in an error."""
     if isinstance(value, float) and math.isfinite(value):  # a double is in range and far inside the cap
-        return Fraction(value), value + 0.0  # + 0.0 drops a zero's sign, as Fraction does
+        value += 0.0  # drops a zero's sign, as Fraction does
+        return value, value
     problem = "value must be finite" if isinstance(value, float) else "expected a number or 'p/q' string"
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         problem = f"exact value has more than {_MAX_DIGITS} digits"
@@ -200,7 +202,7 @@ def _parse_order(data: dict) -> int:
 
 
 def _parse_values(values, m: int, where: str, exact: list) -> list[complex]:
-    """The m [re, im] values as complex doubles; each one's Fraction pair is appended to ``exact``."""
+    """The m [re, im] values as complex doubles; each one's exact pair is appended to ``exact``."""
     if not isinstance(values, list) or len(values) != m:
         raise FileFormatError(f"{where}: expected a list of {m} values")
     doubles = []
@@ -215,7 +217,8 @@ def _parse_values(values, m: int, where: str, exact: list) -> list[complex]:
 
 def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
     """The system of a conditions file; it keeps the exact coefficients
-    next to their doubles, so the exact oracle sees the input's rationals."""
+    next to their doubles, so the exact oracle sees the input's rationals.
+    A file of doubles only passes none: its doubles are the data."""
     m = _parse_order(data)
     conditions = data.get("conditions")
     if not isinstance(conditions, list) or len(conditions) != m:
@@ -230,6 +233,8 @@ def parse_condition_data(data: dict) -> bc_core.BoundaryConditionSystem:
     for j, (exact_row, row) in enumerate(zip(exact, rounded)):
         if any(re or im for re, im in exact_row) and not any(row):
             raise FileFormatError(f"conditions[{j}]: nonzero row underflows to zero as doubles")
+    if all(type(re) is type(im) is float for exact_row in exact for re, im in exact_row):
+        exact = None
     from . import bc_core
     return bc_core.BoundaryConditionSystem(m, rounded, exact=exact)
 

@@ -137,6 +137,7 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
     elsewhere, so a step updates only the columns that are not pivots,
     and the pivot block is set to d I once at the end.  A row x with
     ``x[col] = 0`` is left as it is when p = prev: ``(p x - 0) / prev = x``.
+    While prev = 1, as on the first step, the update is stored undivided.
     """
     rows = [list(row) for row in rows]
     pivots: list[int] = []
@@ -152,15 +153,15 @@ def _bareiss(rows: GaussianRows) -> tuple[GaussianRows, list[int], Gaussian]:
         pr, pi = top[col]
         pivots.append(col)
         live.remove(col)
+        divide = prev != (1, 0)
         for i, row in enumerate(rows):
             fr, fi = row[col]
             if i == r or not (fr or fi) and top[col] == prev:
                 continue
             for c in live:
                 (xr, xi), (yr, yi) = row[c], top[c]
-                row[c] = _exact_quotient(
-                    (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr), prev
-                )
+                update = (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr)
+                row[c] = _exact_quotient(update, prev) if divide else update
         prev = top[col]
     for i, row in enumerate(rows):
         for j, col in enumerate(pivots):

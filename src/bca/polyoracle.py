@@ -371,7 +371,7 @@ def _form_value(terms, w) -> int:
     total = 0
     for a, b, (kr, ki) in terms:
         (ar, ai), (br, bi) = w[a], w[b]
-        total += (ar * kr - ai * ki) * br + (ar * ki + ai * kr) * bi
+        total += kr * (ar * br + ai * bi) + ki * (ar * bi - ai * br)  # the small weights first: 2 products by K
     return total
 
 

@@ -463,6 +463,7 @@ class TestParsePart:
         value = json.loads(text)
         system = cli.parse_condition_data(json.loads(f'{{"m": 1, "conditions": [{{"a": [[1, {text}]], "b": [[{text}, 0]]}}]}}'))
         assert system.exact == (((1, Fraction(value)), (Fraction(value), 0)),)
+        assert all(type(part) is Fraction for z in system.exact[0] for part in z)  # the int keeps Fraction pairs
         doubles = [part for z in system.coeffs[0] for part in (z.real, z.imag)]
         assert struct.pack("<4d", *doubles) == struct.pack("<4d", 1.0, value + 0.0, value + 0.0, 0.0)
 
@@ -592,25 +593,32 @@ def _fuzz_value(rng):
 
 
 def _outcome(parse, *args):
-    """What a parser makes of its input: the exact value with its type and
-    the double's type and bits, or the error's type and message."""
+    """What a parser makes of its input: the exact value and the double's
+    type and bits, or the error's type and message."""
     try:
         part, double = parse(*args)
     except cli.FileFormatError as exc:
         return type(exc), str(exc)
-    return part, type(part), type(double), struct.pack("<d", double)
+    return part, type(double), struct.pack("<d", double)
 
 
 class TestParserReference:
     """The parser returns what the reference above returns on every value:
-    the same Fraction, the same double bits, the same error message."""
+    the same exact value, the same double bits, the same error message.
+    A double is its own exact value, so its part is that double, with the
+    double's bits, where the reference returns its Fraction."""
 
     def test_parse_part_agrees_with_the_reference(self):
         rng = random.Random(24)
         values = _SPECIAL_VALUES + [_fuzz_value(rng) for _ in range(20000)]
         for i, value in enumerate(values):
             indices = (i % 3, i % 2)
-            assert _outcome(cli._parse_part, value, "f", *indices) == _outcome(_parse_part, value, "f", *indices), value
+            outcome = _outcome(cli._parse_part, value, "f", *indices)
+            assert outcome == _outcome(_parse_part, value, "f", *indices), value
+            if len(outcome) == 3 and isinstance(value, float):
+                assert type(outcome[0]) is float and struct.pack("<d", outcome[0]) == outcome[2], value
+            elif len(outcome) == 3:
+                assert type(outcome[0]) is Fraction, value
 
     @staticmethod
     def _reference_conditions(data):
@@ -651,9 +659,52 @@ class TestParserReference:
                 assert str(raised.value) == str(exc)
                 continue
             system = cli.parse_condition_data(data)
-            assert system.exact == expected[0]
-            assert all(type(part) is Fraction for row in system.exact for pair in row for part in pair)
+            if all(type(part) is float for row in rows for half in row for value in half for part in value):
+                assert system.exact is None  # a file of doubles only: its doubles are the data
+            else:
+                assert system.exact == expected[0]
+                assert all(type(part) is Fraction for row in system.exact for pair in row for part in pair)
             assert system.coeffs.tobytes() == expected[1].tobytes()
+
+    @staticmethod
+    def _doubles_document(m, values):
+        """A conditions file of JSON doubles, ``values`` cycled through its parts."""
+        parts = [values[i % len(values)] for i in range(4 * m * m)]
+        pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+        rows = [{"a": pairs[2 * m * j : 2 * m * j + m], "b": pairs[2 * m * j + m : 2 * m * (j + 1)]} for j in range(m)]
+        return json.loads(json.dumps({"m": m, "conditions": rows}))
+
+    def assert_doubles_are_the_data(self, data):
+        # no exact parts, and the integer rows of the reference's Fraction pairs
+        system = cli.parse_condition_data(data)
+        exact_parts, doubles = self._reference_conditions(data)
+        assert system.exact is None
+        assert system.coeffs.tobytes() == doubles.tobytes()
+        assert system.integer_rows == bc_core.BoundaryConditionSystem(data["m"], doubles, exact=exact_parts).integer_rows
+
+    def test_file_of_doubles_is_its_own_exact_data(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            m = rng.randrange(1, 5)
+            values = [
+                rng.choice([
+                    rng.uniform(-2, 2), 0.0, -0.0, 5e-324, 1.7e308,
+                    struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64) % 0x7FF0000000000000))[0],  # finite
+                ])
+                for _ in range(4 * m * m)
+            ]
+            self.assert_doubles_are_the_data(self._doubles_document(m, values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[5e-324], [1.7e308, -1.7e308], [-0.0], [-0.0, 1.0], [5e-324, 1.7e308, -0.0, 1e-310],
+         [2.2250738585072014e-308, 1e-320, -4e-322, 0.1], [1.7976931348623157e308, -5e-324, 3e-320, -0.0]],
+        ids=["min-subnormal", "near-max", "negative-zero", "negative-zero-and-one", "range-ends", "subnormal-mix",
+             "max-and-subnormals"],
+    )
+    def test_edge_doubles_are_their_own_exact_data(self, values):
+        for m in (1, 2, 3):
+            self.assert_doubles_are_the_data(self._doubles_document(m, values))
 
     def test_contraction_data_agrees_with_the_reference(self):
         rng = random.Random(42)

@@ -57,6 +57,7 @@ CASES = [
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(1, 0, 0), (0, 0)]]), BadShape, id="exact-triple"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[1 + 0j, 0j]]), BadShape, id="exact-complex"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(10**400, 0), (0, 0)]]), BadShape, id="exact-overflow"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=5), BadShape, id="exact-not-rows"),
 ]
 
 
@@ -70,6 +71,8 @@ def test_input_errors_are_invalid_input_and_value_error(call, error):
 def test_malformed_exact_part_names_its_row():
     with pytest.raises(BadShape, match=r"^exact\[1\] must hold \(re, im\) pairs"):
         BoundaryConditionSystem(1, [[1, 0]], exact=[[(1, 0), (0, 0)], [(math.nan, 0), (0, 0)]])
+    with pytest.raises(BadShape, match=r"^exact must be a sequence of rows, got int$"):
+        BoundaryConditionSystem(1, [[1, 0]], exact=5)
 
 
 def test_numpy_integers_are_counts_and_orders():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -162,6 +163,16 @@ def dense_min_value(system, sample_count, seed):
     weights = (polyoracle._scaled_draws(seed, f"ns{index}", range(m)) for index in range(sample_count))
     least = min(exact._gaussian_dot(gaussian_vecmat(w, restricted), w)[0] for w in weights)
     return Fraction(least, 144 * (det[0] ** 2 + det[1] ** 2) * den)
+
+
+def reference_form_value(terms, w) -> int:
+    """``Re(w K w*)`` over the terms of :func:`polyoracle._form_value`, with
+    6 products per term: each entry of K times a weight, then times another."""
+    total = 0
+    for a, b, (kr, ki) in terms:
+        (ar, ai), (br, bi) = w[a], w[b]
+        total += (ar * kr - ai * ki) * br + (ar * ki + ai * kr) * bi
+    return total
 
 
 def sparse_systems(rng, m):
@@ -600,6 +611,20 @@ class TestSampleDissipativity:
                 assert report.min_value == dense_min_value(system, samples, seed)
                 assert report.all_nonnegative == (report.min_value >= 0)
 
+    def test_form_value_matches_the_six_product_reference(self):
+        # K entries of several hundred bits, weights from the stream's range
+        # (-9..9 times 12, 6, 4 or 3)
+        rng = random.Random(32)
+        weights = sorted({n * scale for n in range(-9, 10) for scale in (12, 6, 4, 3)})
+        for _ in range(300):
+            size = rng.randrange(1, 9)
+            bits = rng.choice([1, 64, 300, 700])
+            entry = lambda: rng.randrange(-(2**bits), 2**bits + 1)
+            terms = [(a, b, (entry(), entry() if a != b else 0)) for a in range(size) for b in range(a, size)
+                     if rng.random() < 0.8]
+            w = [(rng.choice(weights), rng.choice(weights)) for _ in range(size)]
+            assert polyoracle._form_value(terms, w) == reference_form_value(terms, w)
+
     @staticmethod
     def draws_of(monkeypatch, system, samples=4):
         """The index lists ``sample_dissipativity`` hands ``_scaled_draws``."""
@@ -721,9 +746,10 @@ class TestBareiss:
         return calls
 
     @staticmethod
-    def full_updates(m):
-        # a step that rewrites every other row: m - 1 rows times the 2m - k - 1 columns still live after step k
-        return sum((m - 1) * (2 * m - k - 1) for k in range(m))
+    def full_updates(m, first=0):
+        # steps from `first` on that rewrite every other row: m - 1 rows times
+        # the 2m - k - 1 columns still live after step k
+        return sum((m - 1) * (2 * m - k - 1) for k in range(first, m))
 
     @pytest.mark.parametrize(
         "system",
@@ -743,10 +769,11 @@ class TestBareiss:
         system = helpers.random_system(np.random.default_rng(78), 8)
         calls = self.count_updates(monkeypatch)
         self.assert_matches_rref(system)
-        assert len(calls) == self.full_updates(8)
-        # each step divides by the pivot before it, and no two in a row are equal
+        # the first step divides by 1, so it stores its updates with no call
+        assert len(calls) == self.full_updates(8, first=1)
+        # each later step divides by the pivot before it, and no two in a row are equal
         divisors = [calls[0]] + [b for a, b in zip(calls, calls[1:]) if a != b]
-        assert len(divisors) == 8 and divisors[0] == (1, 0)
+        assert len(divisors) == 7 and divisors[0] == system.integer_rows[0][0] != (1, 0)
 
     def test_zero_matrix_has_no_pivots(self):
         assert exact._bareiss([[(0, 0)] * 3] * 2) == ([[(0, 0)] * 3] * 2, [], (1, 0))
