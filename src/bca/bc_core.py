@@ -35,13 +35,11 @@ class BoundaryConditionSystem:
 
     def __post_init__(self) -> None:
         exact._check_order(self.m)
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        coeffs = numerics.as_complex_matrix(self.coeffs).copy()  # private: the caller's array stays writable
         if coeffs.shape != (self.m, 2 * self.m):
             raise BadShape(
                 f"expected coefficient shape {(self.m, 2 * self.m)}, got {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs.real)) or not np.all(np.isfinite(coeffs.imag)):
-            raise BadShape("coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:

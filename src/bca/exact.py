@@ -4,11 +4,10 @@ A Gaussian integer is a pair ``(re, im)`` of Python ints; an exact matrix
 is a list of rows of them, over one denominator where it needs one.
 Each closed form is kept once, by its nonzeros: a sparse row is a dict
 of its nonzero entries by column.  Dense rows are built only where they
-are read whole, by elimination and by the identity suites' sampling
-loop.  The integer closed forms of both identity targets live here --
-M, and the canonical maps with the target ``(S - S*)/2i`` -- so
-:mod:`bca.forms` and :mod:`bca.contraction` convert the very rows that
-the exact oracle (:mod:`bca.polyoracle`) certifies.  So does the
+are read whole, by elimination.  The integer closed forms of both
+identity targets live here -- M, and the canonical maps with the target
+``(S - S*)/2i`` -- so :mod:`bca.forms` and :mod:`bca.contraction` convert
+the very rows that the exact oracle (:mod:`bca.polyoracle`) certifies.  So does the
 fraction-free linear algebra the oracle runs on: checked exact division,
 Bareiss elimination and the null-space basis it yields.
 """

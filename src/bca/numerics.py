@@ -27,8 +27,12 @@ class Definiteness(Enum):
 
 
 def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a 2-D complex128 array with finite entries."""
-    mat = np.asarray(entries, dtype=np.complex128)
+    """Coerce ``entries`` to a 2-D complex128 array with finite entries;
+    anything numpy cannot read as a rectangular complex array is ``BadShape``."""
+    try:
+        mat = np.asarray(entries, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise BadShape(f"expected a rectangular array of numbers: {error}") from None
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):

@@ -22,12 +22,12 @@ target equals ``scale F``: the boundary form matrix M with scale 2, and
 the canonical form ``(S - S*)/2i`` with scale 1.  F and both targets are
 kept once, by their nonzeros: the targets are the sparse closed forms of
 :mod:`bca.exact`, the same rows that :mod:`bca.forms` and
-:mod:`bca.contraction` convert to numpy.  Each suite assembles the dense
-``D = target - scale F`` from those nonzeros per call.  A Hermitian
-form is fixed by its values, so D is the zero matrix exactly when the
+:mod:`bca.contraction` convert to numpy.  So is each suite's difference
+``D = target - scale F``, built from those nonzeros per call.  A Hermitian
+form is fixed by its values, so D has no nonzero exactly when the
 identity holds for every boundary vector: that is the certificate a
 suite reports as ``passed``.  The reported defect is the largest value
-of D at drawn boundary vectors.  The dissipativity spot-check reads the
+of D at drawn boundary vectors, each read by D's nonzeros.  The dissipativity spot-check reads the
 condition rows as ``system.integer_rows``, eliminates by Bareiss's
 fraction-free Gauss-Jordan method (every division exact and checked; a row
 is skipped when its update is itself) to the RREF null-space basis times
@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 from . import exact
 from .errors import BadShape, DependentRows, DimensionMismatch, InvalidInput
-from .exact import Gaussian, GaussianRows, SparseRows, _gaussian_dot, _integer_rows, _nullspace
+from .exact import Gaussian, SparseRows, _gaussian_dot, _integer_rows, _nullspace
 
 if TYPE_CHECKING:
     from .bc_core import BoundaryConditionSystem
@@ -381,19 +381,19 @@ def _check_sample_count(sample_count: int) -> None:
         raise InvalidInput("sample_count must be >= 1")
 
 
-def _difference(m: int, target: tuple[SparseRows, int], scale: int) -> tuple[GaussianRows, int]:
-    """``target - scale F`` as dense Gaussian-integer rows over one
+def _difference(m: int, target: tuple[SparseRows, int], scale: int) -> tuple[SparseRows, int]:
+    """``target - scale F`` by its nonzeros, as Gaussian integers over one
     denominator, from the nonzeros of a 2m x 2m target over its
-    denominator and of F."""
+    denominator and of F; an entry that cancels is dropped."""
     t_rows, t_den = target
     form, f_den = _imaginary_form(m)
     weight = scale * t_den
-    rows = [[(0, 0)] * (2 * m) for _ in range(2 * m)]
-    for row, t_row, f_row in zip(rows, t_rows, form):
-        for d, (tr, ti) in t_row.items():
-            row[d] = (tr * f_den, ti * f_den)
+    rows = [{d: (tr * f_den, ti * f_den) for d, (tr, ti) in t_row.items()} for t_row in t_rows]
+    for row, f_row in zip(rows, form):
         for d, (fr, fi) in f_row.items():
-            row[d] = (row[d][0] - weight * fr, row[d][1] - weight * fi)
+            re, im = row.pop(d, (0, 0))
+            if (re, im) != (weight * fr, weight * fi):
+                row[d] = (re - weight * fr, im - weight * fi)
     return rows, t_den * f_den
 
 
@@ -401,8 +401,8 @@ def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityRep
     """Reports on the boundary-form and the canonical identity, in that
     order, each certifying ``yh target(m) yh* = scale Im(L0 y, y)`` for
     every boundary vector yh: ``passed`` says that the Hermitian form
-    ``D = target(m) - scale F`` is the zero matrix, so a nonzero D fails
-    even when every sample misses it.  ``max_defect`` is the largest
+    ``D = target(m) - scale F``, kept by its nonzeros, has none, so a
+    nonzero D fails even when every sample misses it.  ``max_defect`` is the largest
     ``|Re q| + |Im q|`` of ``q = yh D yh*`` over the sampled rational
     boundary vectors ``random_boundary_vector(m, seed, index)``,
     index < sample_count.  Each vector is drawn once, evaluated on both D
@@ -416,13 +416,11 @@ def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityRep
     for index in range(sample_count):
         v = _scaled_draws(seed, f"bv{index}", range(2 * m))
         for k, (rows, _) in enumerate(differences):
-            re, im = _gaussian_dot([_gaussian_dot(v, row) for row in rows], v)  # conj(v D v*): the same |Re| + |Im|
+            # v D* read by D's nonzeros, then conj(v D v*): the same |Re| + |Im| for any D
+            re, im = _gaussian_dot([_gaussian_dot([v[j] for j in row], row.values()) for row in rows], v)
             worst[k] = max(worst[k], abs(re) + abs(im))
     return tuple(
-        IdentityReport(
-            passed=not any(re or im for row in rows for re, im in row),
-            max_defect=Fraction(defect, STREAM_SCALE**2 * den),
-        )
+        IdentityReport(passed=not any(rows), max_defect=Fraction(defect, STREAM_SCALE**2 * den))
         for (rows, den), defect in zip(differences, worst)
     )
 

@@ -10,10 +10,13 @@ import helpers
 from bca import (
     BoundaryConditionSystem,
     BoundaryVector,
+    ContractionParametrization,
     RationalComplexPolynomial,
     TolerancePolicy,
     hermite_interpolant,
+    hermitian_classify,
     l0_inner_product,
+    operator_norm,
     ordered_roots,
     sample_dissipativity,
     verify_boundary_form_identity,
@@ -58,6 +61,16 @@ CASES = [
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[1 + 0j, 0j]]), BadShape, id="exact-complex"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(10**400, 0), (0, 0)]]), BadShape, id="exact-overflow"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=5), BadShape, id="exact-not-rows"),
+    # arrays numpy cannot read as rectangular complex matrices
+    pytest.param(lambda: BoundaryConditionSystem(1, [[1], [2, 3]]), BadShape, id="system-ragged"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [["a", "b"]]), BadShape, id="system-strings"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[10**400, 0]]), BadShape, id="system-int-overflow"),
+    pytest.param(lambda: ContractionParametrization(2, [[1, 0], [0]]), BadShape, id="contraction-ragged"),
+    pytest.param(lambda: hermitian_classify([[1, 0], [0]]), BadShape, id="hermitian-ragged"),
+    pytest.param(lambda: operator_norm("abc"), BadShape, id="norm-string"),
+    # 0-D and 1-D coefficients fail the 2-D check of the shared coercion
+    pytest.param(lambda: BoundaryConditionSystem(1, 5), DimensionMismatch, id="system-scalar"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [1, 0]), DimensionMismatch, id="system-vector"),
 ]
 
 

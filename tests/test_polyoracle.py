@@ -380,7 +380,7 @@ class TestGram:
         for target, scale in ((exact.boundary_form, 2), (exact.canonical_target, 1)):
             rows, den = polyoracle._difference(m, target(m), scale)
             assert den > 0
-            assert all(value == (0, 0) for row in rows for value in row)
+            assert rows == [{}] * (2 * m)  # every entry cancels, and none is kept
 
 
 def perturb_boundary_form(monkeypatch, mirror, imag=0):
@@ -455,6 +455,32 @@ class TestIdentitySuites:
         values = [form_value(difference, random_boundary_vector(m, 21, index).components) for index in range(5)]
         report = verify_boundary_form_identity(m, sample_count=5, seed=21)
         assert report.max_defect == max(abs(q.re) + abs(q.im) for q in values) > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "mutate, name, scale",
+        [
+            (lambda patch: perturb_boundary_form(patch, 0), "boundary_form", 2),
+            (lambda patch: perturb_boundary_form(patch, -1), "boundary_form", 2),
+            (lambda patch: perturb_boundary_form(patch, 0, 1), "boundary_form", 2),
+            (flip_canonical_sign, "canonical_target", 1),
+        ],
+        ids=["one-entry", "anti-hermitian", "complex-one-entry", "canonical-sign"],
+    )
+    def test_difference_holds_exactly_the_nonzeros(self, monkeypatch, m, mutate, name, scale):
+        # D is the dense target f_den - scale t_den F by its nonzeros: every
+        # nonzero entry is kept and no (0, 0) entry is stored
+        mutate(monkeypatch)
+        (target, t_den), (form, f_den) = getattr(exact, name)(m), polyoracle._imaginary_form(m)
+        dense = [
+            [(tr * f_den - scale * t_den * fr, ti * f_den - scale * t_den * fi)
+             for (tr, ti), (fr, fi) in zip(t_row, f_row)]
+            for t_row, f_row in zip(densify(target, 2 * m), densify(form, 2 * m))
+        ]
+        expected = [{d: z for d, z in enumerate(row) if z != (0, 0)} for row in dense]
+        rows, den = polyoracle._difference(m, getattr(exact, name)(m), scale)
+        assert den == t_den * f_den and any(expected)
+        assert rows == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8])
     def test_flipped_canonical_sign_is_caught(self, monkeypatch, m):
