@@ -37,9 +37,7 @@ class BoundaryConditionSystem:
         exact._check_order(self.m)
         coeffs = numerics.as_complex_matrix(self.coeffs).copy()  # private: the caller's array stays writable
         if coeffs.shape != (self.m, 2 * self.m):
-            raise BadShape(
-                f"expected coefficient shape {(self.m, 2 * self.m)}, got {coeffs.shape}"
-            )
+            raise BadShape(f"expected coefficient shape {(self.m, 2 * self.m)}, got {coeffs.shape}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.exact is not None:
@@ -48,6 +46,9 @@ class BoundaryConditionSystem:
                 raise BadShape(f"exact must be a sequence of rows, got {type(self.exact).__name__}")
             for j, row in enumerate(self.exact):
                 try:  # a Fraction part is kept, not rebuilt; int true division rounds correctly
+                    row = tuple(tuple(z) for z in row)  # read once, whatever iterables hold it
+                    if any(isinstance(v, (str, bytes)) for z in row for v in z):
+                        raise TypeError("text is not a number (number strings are read only by the CLI)")
                     pairs.append(tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in z) for z in row))
                     rounded.append([complex(re.numerator / re.denominator, im.numerator / im.denominator)
                                     for re, im in pairs[-1]])
@@ -189,10 +190,9 @@ def normalize(
             rows[active] = mixed / scale
         orders[active[:rank]] = k
 
-    by_order = sorted(range(m), key=lambda i: (-orders[i], i))
-    rows = rows[by_order]
-    orders = tuple(int(orders[i]) for i in by_order)
-    return NormalizedSystem(base=BoundaryConditionSystem(m, rows), orders=orders)
+    by_order = np.argsort(-orders, kind="stable")  # highest order first, ties in row order
+    orders = tuple(orders[by_order].tolist())
+    return NormalizedSystem(base=BoundaryConditionSystem(m, rows[by_order]), orders=orders)
 
 
 def orders_multiset(
@@ -221,19 +221,15 @@ def rank_profile_orders(
         cols = list(range(t + 1, m)) + list(range(m + t + 1, 2 * m))
         count_above.append(numerics.svd_rank(np.linalg.svd(system.binary_scaled[:, cols], compute_uv=False), tol))
     count_above.append(0)
-    orders: list[int] = []
-    for t in range(m):
-        orders.extend([t] * (count_above[t] - count_above[t + 1]))
-    return tuple(sorted(orders, reverse=True))
+    return tuple(t for t in range(m - 1, -1, -1) for _ in range(count_above[t] - count_above[t + 1]))
 
 
 def truncate_leading(normalized: NormalizedSystem) -> BoundaryConditionSystem:
     """Keep only each row's order-k coefficient pair, zeroing lower terms."""
     m = normalized.base.m
+    cols = np.array(normalized.orders)[:, None] + [0, m]  # row j's columns k_j and m + k_j
     coeffs = np.zeros((m, 2 * m), dtype=np.complex128)
-    for j, (k, (alpha, beta)) in enumerate(zip(normalized.orders, normalized.leading)):
-        coeffs[j, k] = alpha
-        coeffs[j, m + k] = beta
+    coeffs[np.arange(m)[:, None], cols] = normalized.leading
     return BoundaryConditionSystem(m, coeffs)
 
 
@@ -248,20 +244,12 @@ def structural_report(normalized: NormalizedSystem) -> StructuralReport:
     m = normalized.base.m
     if m % 2 != 0:
         raise OddOrderUnsupported("rank-sum diagnostics require even order")
-    n = m // 2
     counts = Counter(normalized.orders)
-    leading = normalized.leading
-    rank_sums = tuple(counts[j] + counts[m - 1 - j] for j in range(n))
+    pair_of = dict(zip(normalized.orders, normalized.leading))  # read only for orders held once
+    rank_sums = tuple(counts[j] + counts[m - 1 - j] for j in range(m // 2))
     defects: list[float] = []
-    for j, k in enumerate(normalized.orders):
-        partner_order = m - 1 - k
-        if k <= partner_order:
-            continue
-        if counts[k] == 1 and counts[partner_order] == 1:
-            j_partner = normalized.orders.index(partner_order)
-            alpha, beta = leading[j]
-            alpha_p, beta_p = leading[j_partner]
-            defects.append(
-                float(abs(alpha * np.conj(alpha_p) - beta * np.conj(beta_p)))
-            )
+    for k in range(m - 1, m // 2 - 1, -1):  # each order above its partner m-1-k, highest first
+        if counts[k] == 1 and counts[m - 1 - k] == 1:
+            (alpha, beta), (alpha_p, beta_p) = pair_of[k], pair_of[m - 1 - k]
+            defects.append(float(abs(alpha * np.conj(alpha_p) - beta * np.conj(beta_p))))
     return StructuralReport(rank_sums=rank_sums, pairing_defects=tuple(defects))

@@ -243,6 +243,8 @@ def parse_contraction_data(data: dict) -> contraction.ContractionParametrization
     """The contraction of a V file; V is parsed before numpy is imported."""
     m = _parse_order(data)
     rows = data.get("V")
+    if "V" in data and rows is None:  # what to-contraction writes for a system that is not dissipative
+        raise FileFormatError("V: null: the system is not dissipative, so it has no contraction")
     if not isinstance(rows, list) or len(rows) != m:
         raise FileFormatError(f"V: expected a list of {m} rows")
     matrix = [_parse_values(row, m, f"V[{j}]", []) for j, row in enumerate(rows)]
@@ -475,7 +477,7 @@ def _build_report(args) -> dict:
     value = getattr(args, "tol", None)  # None where --tol is not given or not taken
     try:  # the +0.0 folds a negative zero into a plain zero
         tol = TolerancePolicy() if value is None else TolerancePolicy(value + 0.0, value + 0.0, value + 0.0)
-    except ValueError as exc:
+    except InvalidInput as exc:
         raise FileFormatError(f"--tol: {exc}") from exc
     for flag, (_, limits) in _flags(args.command).items():
         value = getattr(args, flag[2:])
@@ -526,7 +528,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         report = _build_report(args)
-    except ValueError as exc:  # every InvalidInput is one
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -28,9 +28,13 @@ class Definiteness(Enum):
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a 2-D complex128 array with finite entries;
-    anything numpy cannot read as a rectangular complex array is ``BadShape``."""
+    anything numpy cannot read as a rectangular complex array is ``BadShape``,
+    and so is text: number strings are the CLI's grammar, not numpy's."""
     try:
-        mat = np.asarray(entries, dtype=np.complex128)
+        mat = np.asarray(entries)
+        if mat.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in mat.flat):
+            raise TypeError("text is not a number (number strings are read only by the CLI)")
+        mat = mat.astype(np.complex128, copy=False)
     except (TypeError, ValueError, OverflowError) as error:
         raise BadShape(f"expected a rectangular array of numbers: {error}") from None
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInput
@@ -27,7 +28,7 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         for name in ("definiteness_tol", "rank_tol", "zero_tol"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1e-2:
+            if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1e-2):
                 raise InvalidInput(f"{name} must lie in [0, 1e-2], got {value!r}")
 
 

@@ -70,7 +70,7 @@ class TestValidate:
 
     def test_exact_fractions_are_kept_and_other_parts_converted(self):
         part = Fraction(-3, 5)
-        system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[[(1, "0"), (part, Fraction(-4, 5))]])
+        system = BoundaryConditionSystem(1, [[1, -0.6 - 0.8j]], exact=[[(1, 0), (part, Fraction(-4, 5))]])
         assert system.exact[0][1][0] is part
         assert [type(value) for pair in system.exact[0] for value in pair] == [Fraction] * 4
 
@@ -370,6 +370,19 @@ class TestStructuralReport:
     def test_odd_order_unsupported(self):
         with pytest.raises(OddOrderUnsupported):
             structural_report(normalize(helpers.odd_irregular(2)))
+
+    def test_partners_found_by_order_and_shared_orders_skipped(self):
+        # rows y'''(0), y''(0), y''(1), y(0) + y(1): orders (3, 2, 2, 0); order 2
+        # is held twice, so only orders 3 and 0 pair, with defect |1*1 - 0*1| = 1
+        system = BoundaryConditionSystem(
+            4,
+            [[0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 0, 0, 0]],
+        )
+        normalized = normalize(system)
+        assert normalized.orders == (3, 2, 2, 0)
+        report = structural_report(normalized)
+        assert report.rank_sums == (2, 2)
+        assert report.pairing_defects == (1.0,)
 
     def test_non_dissipative_reported_as_is(self):
         # a non-dissipative system may violate the rank-sum pattern; the

@@ -335,6 +335,14 @@ class TestContractionCommands:
             if argv[0] == "to-contraction":
                 vfile.write_text(out)
 
+    def test_from_contraction_names_a_null_contraction(self, tmp_path):
+        # to-contraction writes "V": null for a system that is not dissipative
+        path = write_json(tmp_path / "left.json", LEFT_END)
+        _, v_text, _ = run_cli(["to-contraction", path])
+        code, out, err = run_cli(["from-contraction", write_json(tmp_path / "v.json", json.loads(v_text))])
+        assert code == 2 and out == ""
+        assert err == "error: V: null: the system is not dissipative, so it has no contraction\n"
+
     def test_from_contraction_rejects_expansion(self, tmp_path):
         vfile = write_json(tmp_path / "v.json", {"m": 1, "V": [[[2, 0]]]})
         code, out, err = run_cli(["from-contraction", vfile])
@@ -892,6 +900,14 @@ class TestErrorHandling:
         code, out, err = run_cli([command, write_json(tmp_path / "bad.json", payload)])
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_a_bare_value_error_is_a_bug_not_invalid_input(self, tmp_path, monkeypatch):
+        def broken(system, tol):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(bc_core, "normalize", broken)
+        with pytest.raises(ValueError, match="boom"):
+            main(["check", write_json(tmp_path / "dirichlet.json", DIRICHLET)])
 
     def test_top_level_not_an_object(self, tmp_path):
         path = write_json(tmp_path / "list.json", [DIRICHLET])

@@ -2,6 +2,7 @@
 ``ValueError``: one family for callers and for the CLI to catch."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,10 @@ CASES = [
     pytest.param(lambda: exact.boundary_form(True), BadShape, id="closed-form-order-bool"),
     pytest.param(lambda: BoundaryConditionSystem(2.0, [[1, 0, 0, 0], [0, 0, 1, 0]]), BadShape, id="system-order-float"),
     pytest.param(lambda: TolerancePolicy(rank_tol=1.0), InvalidInput, id="tolerance"),
+    # a tolerance is a real number; anything else is refused before it is compared
+    pytest.param(lambda: TolerancePolicy(None), InvalidInput, id="tolerance-none"),
+    pytest.param(lambda: TolerancePolicy("1e-9"), InvalidInput, id="tolerance-string"),
+    pytest.param(lambda: TolerancePolicy(1j), InvalidInput, id="tolerance-complex"),
     pytest.param(lambda: numerics.as_complex_matrix([[math.inf]]), BadShape, id="nonfinite-matrix"),
     # malformed exact parts of a system
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(math.inf, 0), (0, 0)]]), BadShape, id="exact-inf"),
@@ -61,6 +66,18 @@ CASES = [
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[1 + 0j, 0j]]), BadShape, id="exact-complex"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=[[(10**400, 0), (0, 0)]]), BadShape, id="exact-overflow"),
     pytest.param(lambda: BoundaryConditionSystem(1, [[1, 0]], exact=5), BadShape, id="exact-not-rows"),
+    # number strings are the CLI's grammar: the library reads no text, neither numpy's nor Fraction's
+    pytest.param(lambda: BoundaryConditionSystem(1, [["1_0", "2j"]]), BadShape, id="system-number-strings"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[Fraction(1), "2"]]), BadShape, id="system-object-text"),
+    pytest.param(lambda: BoundaryConditionSystem(1, [[b"1", b"0"]]), BadShape, id="system-bytes"),
+    pytest.param(
+        lambda: BoundaryConditionSystem(1, [[0.5, 0]], exact=[[("1/2", "0"), ("0", 0)]]), BadShape, id="exact-strings"
+    ),
+    pytest.param(
+        lambda: BoundaryConditionSystem(1, [[0.0, 1]], exact=[[("1e-200000", 0), (1, 0)]]),
+        BadShape,
+        id="exact-string-exponent",
+    ),
     # arrays numpy cannot read as rectangular complex matrices
     pytest.param(lambda: BoundaryConditionSystem(1, [[1], [2, 3]]), BadShape, id="system-ragged"),
     pytest.param(lambda: BoundaryConditionSystem(1, [["a", "b"]]), BadShape, id="system-strings"),
