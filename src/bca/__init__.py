@@ -34,7 +34,7 @@ _EXPORTS = {
         "hermite_interpolant", "l0_inner_product", "sample_dissipativity", "verify_boundary_form_identity",
         "verify_canonical_identity", "verify_identities",
     ),
-    "regularity": ("RegularityReport", "ordered_roots", "regularity_verdict"),
+    "regularity": ("RegularityReport", "ordered_roots", "regularity_verdict", "row_span_verdict", "span_verdict"),
     "tolerances": ("DEFAULT_TOLERANCES", "TolerancePolicy"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, polyoracle
 from .errors import InvalidInput, NotAContraction, NumericalFailure
+from .exact import _DIGIT_CAP, _MAX_DIGITS
 from .tolerances import TolerancePolicy
 
 if TYPE_CHECKING:
@@ -113,10 +114,6 @@ def _complex_pair(z: complex) -> list[float]:
 # input parsing
 
 
-# An exact part's numerator and denominator have at most as many digits
-# as Python's default limit allows an int string.
-_MAX_DIGITS = 4300
-_DIGIT_CAP = 10**_MAX_DIGITS
 # A number string: sign, integer part, then a denominator or a fractional
 # part and an exponent.  This is the grammar of Fraction strings before
 # Python 3.11 (later ones also take underscores, and 3.12 spaces around /).
@@ -329,14 +326,15 @@ class _Subject:
         return bc_core.normalize(self.system, self.tol)
 
     @cached_property
+    def span(self) -> tuple[tuple[int, ...], regularity.RegularityReport]:
+        """The orders of the minimal form and the regularity report."""
+        from . import regularity
+        return regularity.span_verdict(self.system, self.tol)
+
+    @cached_property
     def diss(self) -> forms.DissipativityVerdict:
         from . import forms
         return forms.dissipativity_verdict(self.system, self.tol)
-
-    @cached_property
-    def reg(self) -> regularity.RegularityReport:
-        from . import regularity
-        return regularity.regularity_verdict(self.normalized, self.tol)
 
     @cached_property
     def contraction_matrix(self) -> list | None:
@@ -360,7 +358,7 @@ def _fields(obj) -> dict:  # a dataclass's fields by name, in order, not copied 
 
 def _thetas_section(s: _Subject) -> dict:
     """The regularity report without its verdicts, in field order."""
-    fields = _fields(s.reg)
+    fields = _fields(s.span[1])
     del fields["regular"], fields["regular_strict"]
     return {
         "thetas": {
@@ -399,7 +397,7 @@ _SECTIONS = {
     "tolerances": lambda s: {"tolerances": _fields(s.tol)},
     "m": lambda s: {"m": s.args.m},
     "sampling": lambda s: {"samples": s.args.samples, "seed": s.args.seed},
-    "orders": lambda s: {"orders": list(s.normalized.orders)},
+    "orders": lambda s: {"orders": list(s.span[0])},
     "gram": lambda s: {"gram_eigenvalues": [float(v) for v in s.diss.gram_eigenvalues]},
     "thetas": _thetas_section,
     "contraction": lambda s: {
@@ -416,13 +414,14 @@ _SECTIONS = {
     "normalized": lambda s: {
         "m": s.system.m,
         "conditions": system_to_conditions(s.normalized.base),
+        "orders": list(s.normalized.orders),
     },
 }
 _VERDICTS = {
     "dissipative": lambda s: s.diss.dissipative,
     "selfadjoint": lambda s: s.diss.selfadjoint,
-    "regular": lambda s: s.reg.regular,
-    "regular_strict": lambda s: s.reg.regular_strict,
+    "regular": lambda s: s.span[1].regular,
+    "regular_strict": lambda s: s.span[1].regular_strict,
 }
 # The sections of each subcommand's report, in output order; a tuple is
 # the "verdicts" section with those keys.
@@ -432,7 +431,7 @@ _REPORTS = {
         ("dissipative", "selfadjoint", "regular", "regular_strict"),
         "gram", "thetas", "contraction", "oracle",
     ),
-    "normalize": ("normalized", "orders", "tolerances"),
+    "normalize": ("normalized", "tolerances"),
     "dissipative": (
         "header", "input", "tolerances", ("dissipative", "selfadjoint"), "gram", "oracle",
     ),

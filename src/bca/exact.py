@@ -23,6 +23,11 @@ Gaussian = tuple[int, int]  # re + i im, as Python ints
 GaussianRows = list[list[Gaussian]]
 SparseRows = list[dict[int, Gaussian]]  # each row's nonzero entries, by column
 _HALF, _ONE = Fraction(1, 2), Fraction(1)
+# An exact part's reduced numerator and denominator have at most as many
+# digits as Python's default limit allows an int string: the CLI's parser
+# and BoundaryConditionSystem(exact=...) both refuse a part over the cap.
+_MAX_DIGITS = 4300
+_DIGIT_CAP = 10**_MAX_DIGITS
 
 
 def _check_integer(value, what: str, error: type[InvalidInput]) -> None:

@@ -82,12 +82,14 @@ def hermitian_classify(
     return hermitian_spectrum(matrix, tol)[0]
 
 
-def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
+def svd_rank(sigma: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES, norm: float | None = None) -> int:
     """Number of singular values above ``max(tol.rank_tol, 2 k EPS) * ||C||_F``,
     where ``||C||_F`` is the 2-norm of all k of ``C``'s singular values
-    ``sigma``: one below ``2 k EPS`` of it is rounding, even at rank_tol 0."""
+    ``sigma``: one below ``2 k EPS`` of it is rounding, even at rank_tol 0.
+    For C a block of a larger matrix, ``norm`` is that matrix's ``||.||_F``,
+    so the block's rank is judged at the scale of the whole."""
     floor = max(tol.rank_tol, 2 * sigma.size * EPS)
-    return int(np.sum(sigma > floor * float(np.linalg.norm(sigma))))
+    return int(np.sum(sigma > floor * (float(np.linalg.norm(sigma)) if norm is None else norm)))
 
 
 def row_span_basis(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -330,6 +330,14 @@ class TestOrdersMultiset:
             warnings.simplefilter("error")
             assert rank_profile_orders(system) == orders_multiset(system) == (1, 0)
 
+    @pytest.mark.parametrize("noise", [1e-17, 1e-13, 1e-11])
+    def test_rank_profile_drops_entries_below_rank_tol_of_the_rows(self, noise):
+        # a block holding only such an entry has full rank at its own scale
+        system = BoundaryConditionSystem(2, [[1, noise, 0, 0], [0, 0, 1, 0]])
+        assert rank_profile_orders(system) == orders_multiset(system) == (0, 0)
+        kept = BoundaryConditionSystem(2, [[1, 1e-9, 0, 0], [0, 0, 1, 0]])
+        assert rank_profile_orders(kept) == orders_multiset(kept) == (1, 0)
+
 
 class TestTruncateLeading:
     def test_drops_lower_terms(self):

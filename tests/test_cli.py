@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import helpers
-from bca import bc_core, cli, contraction, exact, numerics, polyoracle
+from bca import bc_core, cli, contraction, exact, numerics, polyoracle, regularity
 from bca.cli import _DIGIT_CAP, _MAX_DIGITS, _NUMBER, FileFormatError, _field, main
 
 
@@ -905,7 +905,7 @@ class TestErrorHandling:
         def broken(system, tol):
             raise ValueError("boom")
 
-        monkeypatch.setattr(bc_core, "normalize", broken)
+        monkeypatch.setattr(regularity, "span_verdict", broken)
         with pytest.raises(ValueError, match="boom"):
             main(["check", write_json(tmp_path / "dirichlet.json", DIRICHLET)])
 
@@ -1072,13 +1072,9 @@ class TestErrorHandling:
 
     def test_flags_checked_before_any_analysis(self, tmp_path, monkeypatch):
         calls = []
-        normalize = bc_core.normalize
-
-        def counting_normalize(*args, **kwargs):
-            calls.append(args)
-            return normalize(*args, **kwargs)
-
-        monkeypatch.setattr(bc_core, "normalize", counting_normalize)
+        for name in ("normalize", "_rank_profile"):
+            original = getattr(bc_core, name)
+            monkeypatch.setattr(bc_core, name, lambda *args, original=original: calls.append(args) or original(*args))
         path = write_json(tmp_path / "dirichlet.json", DIRICHLET)
         code, _, err = run_cli(["check", path, "--samples", "0"])
         assert code == 2 and err == "error: --samples: sample count must be >= 1, got 0\n"
@@ -1245,3 +1241,30 @@ class TestFactorizeOnce:
         assert code == 0 and json.loads(out)["verdicts"]["dissipative"]
         assert shapes.count((m, 2 * m)) == 1
         assert sorted(calls) == ["frexp", "integer_rows"]
+
+    @pytest.mark.parametrize("command, calls", [("check", 0), ("regular", 0), ("normalize", 1)])
+    def test_only_the_normalize_report_normalizes(self, tmp_path, monkeypatch, command, calls):
+        """check and regular read orders and thetas from the input's rows."""
+        system = helpers.random_dissipative(np.random.default_rng(5), 4)
+        pairs = [[[z.real, z.imag] for z in row] for row in system.coeffs.tolist()]
+        path = write_json(tmp_path / "system.json", {"m": 4, "conditions": [{"a": r[:4], "b": r[4:]} for r in pairs]})
+        counted = []
+        normalize = bc_core.normalize
+        monkeypatch.setattr(bc_core, "normalize", lambda *args: counted.append(args) or normalize(*args))
+        code, out, _ = run_cli([command, path])
+        assert code == 0 and json.loads(out)["orders"] == list(normalize(system).orders)
+        assert len(counted) == calls
+
+    def test_an_entry_below_rank_tol_of_its_row_carries_no_order(self, tmp_path):
+        conditions = [{"a": [[1, 0], [1e-13, 0]], "b": [[0, 0], [0, 0]]}, {"a": [[0, 0], [0, 0]], "b": [[1, 0], [0, 0]]}]
+        code, out, _ = run_cli(["check", write_json(tmp_path / "noise.json", {"m": 2, "conditions": conditions})])
+        report = json.loads(out)
+        assert code == 0 and report["orders"] == [0, 0] and report["verdicts"]["regular"] is True
+
+    @pytest.mark.parametrize("value", [1e-13, 1.2e-10, 1e-9])
+    def test_check_prints_the_orders_that_normalize_prints(self, tmp_path, value):
+        # 1.2e-10 lies above zero_tol of its row but below rank_tol of all rows
+        conditions = [{"a": [[1, 0], [value, 0]], "b": [[0, 0], [0, 0]]}, {"a": [[0, 0], [0, 0]], "b": [[1, 0], [0, 0]]}]
+        path = write_json(tmp_path / "near.json", {"m": 2, "conditions": conditions})
+        orders = [json.loads(run_cli([command, path])[1])["orders"] for command in ("check", "regular", "normalize")]
+        assert orders[0] == orders[1] == orders[2]

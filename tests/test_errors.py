@@ -2,6 +2,7 @@
 ``ValueError``: one family for callers and for the CLI to catch."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,17 @@ CASES = [
         BadShape,
         id="exact-string-exponent",
     ),
+    # an exact part's reduced numerator and denominator are capped at the CLI's digit limit
+    pytest.param(
+        lambda: BoundaryConditionSystem(1, [[0.0, 1]], exact=[[(Decimal("1e-200000"), 0), (1, 0)]]),
+        BadShape,
+        id="exact-decimal-over-cap",
+    ),
+    pytest.param(
+        lambda: BoundaryConditionSystem(1, [[0.0, 1]], exact=[[(Fraction(1, 10**200000), 0), (1, 0)]]),
+        BadShape,
+        id="exact-fraction-over-cap",
+    ),
     # arrays numpy cannot read as rectangular complex matrices
     pytest.param(lambda: BoundaryConditionSystem(1, [[1], [2, 3]]), BadShape, id="system-ragged"),
     pytest.param(lambda: BoundaryConditionSystem(1, [["a", "b"]]), BadShape, id="system-strings"),
@@ -103,6 +115,14 @@ def test_malformed_exact_part_names_its_row():
         BoundaryConditionSystem(1, [[1, 0]], exact=[[(1, 0), (0, 0)], [(math.nan, 0), (0, 0)]])
     with pytest.raises(BadShape, match=r"^exact must be a sequence of rows, got int$"):
         BoundaryConditionSystem(1, [[1, 0]], exact=5)
+    with pytest.raises(BadShape, match=r"^exact\[1\] must hold .*: a numerator or denominator has more than 4300 digits$"):
+        BoundaryConditionSystem(2, [[1, 0, 0, 0], [0, 0, 1, 0]], exact=[[(1, 0)] + [(0, 0)] * 3, [(0, 0)] * 2 + [(1, 0), (1, 10**4300)]])
+
+
+def test_an_exact_part_at_the_digit_cap_is_kept():
+    largest = 10**4300 - 1  # 4300 digits
+    system = BoundaryConditionSystem(1, [[0.0, 1]], exact=[[(Fraction(1, largest), 0), (1, 0)]])
+    assert system.exact[0][0][0] == Fraction(1, largest)
 
 
 def test_numpy_integers_are_counts_and_orders():
