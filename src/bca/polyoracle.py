@@ -23,8 +23,8 @@ the canonical form ``(S - S*)/2i`` with scale 1.  F and both targets are
 kept once, by their nonzeros: the targets are the sparse closed forms of
 :mod:`bca.exact`, the same rows that :mod:`bca.forms` and
 :mod:`bca.contraction` convert to numpy.  So is each suite's difference
-``D = target - scale F``, built from those nonzeros per call.  A Hermitian
-form is fixed by its values, so D has no nonzero exactly when the
+``D = target - scale F``, built from those nonzeros once per order.  A
+Hermitian form is fixed by its values, so D has no nonzero exactly when the
 identity holds for every boundary vector: that is the certificate a
 suite reports as ``passed``.  The reported defect is the largest value
 of D at drawn boundary vectors, each read by D's nonzeros.  The dissipativity spot-check reads the
@@ -336,12 +336,16 @@ def _scaled_draws(seed: int, tag: str, indices) -> list[Gaussian]:
 
 def random_rational_complex(seed: int, tag: str, index: int) -> RationalComplex:
     """Deterministic small rational complex value (counter-based stream)."""
+    # a stream is named by digits: str(1.0) is not str(1), and %d reads 1.25 as 1
+    exact._check_integer(seed, "seed", InvalidInput)
+    exact._check_integer(index, "index", InvalidInput)
     [(re, im)] = _scaled_draws(seed, tag, (index,))
     return RationalComplex(Fraction(re, STREAM_SCALE), Fraction(im, STREAM_SCALE))
 
 
 def random_boundary_vector(m: int, seed: int, index: int) -> BoundaryVector:
     exact._check_order(m)
+    exact._check_integer(index, "index", InvalidInput)
     components = tuple(random_rational_complex(seed, f"bv{index}", j) for j in range(2 * m))
     return BoundaryVector(m=m, components=components)
 
@@ -397,6 +401,14 @@ def _difference(m: int, target: tuple[SparseRows, int], scale: int) -> tuple[Spa
     return rows, t_den * f_den
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _differences(m: int) -> tuple[tuple[SparseRows, int], tuple[SparseRows, int]]:
+    """Both suites' D by its nonzeros, built once per order and only read:
+    ``M - 2F`` of the boundary-form identity, ``(S - S*)/2i - F`` of the
+    canonical one."""
+    return _difference(m, exact.boundary_form(m), 2), _difference(m, exact.canonical_target(m), 1)
+
+
 def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityReport, IdentityReport]:
     """Reports on the boundary-form and the canonical identity, in that
     order, each certifying ``yh target(m) yh* = scale Im(L0 y, y)`` for
@@ -411,7 +423,8 @@ def verify_identities(m: int, sample_count: int, seed: int) -> tuple[IdentityRep
     if m > MAX_ORDER:
         raise BadShape(f"order must lie in [1, {MAX_ORDER}], got {m}")
     _check_sample_count(sample_count)
-    differences = [_difference(m, exact.boundary_form(m), 2), _difference(m, exact.canonical_target(m), 1)]
+    exact._check_integer(seed, "seed", InvalidInput)
+    differences = _differences(m)
     worst = [0, 0]
     for index in range(sample_count):
         v = _scaled_draws(seed, f"bv{index}", range(2 * m))
@@ -471,6 +484,7 @@ def sample_dissipativity(
     draw.  K and every sample are integer sums; one Fraction is built.
     """
     _check_sample_count(sample_count)
+    exact._check_integer(seed, "seed", InvalidInput)
     m = system.m
     basis, det = _nullspace(system.integer_rows)
     if len(basis) != m:

@@ -52,6 +52,23 @@ CASES = [
     pytest.param(lambda: polyoracle.verify_identities(2.0, 1, 0), BadShape, id="identity-order-float"),
     pytest.param(lambda: polyoracle.verify_identities(True, 1, 0), BadShape, id="identity-order-bool"),
     pytest.param(lambda: verify_boundary_form_identity(2, True, 0), InvalidInput, id="identity-count-bool"),
+    # seeds and stream indices name a stream by their digits: 1.0 is not 1, and 1.25 is no index
+    pytest.param(lambda: polyoracle.verify_identities(2, 1, 1.0), InvalidInput, id="identity-seed-float"),
+    pytest.param(lambda: polyoracle.verify_identities(2, 1, None), InvalidInput, id="identity-seed-none"),
+    pytest.param(lambda: polyoracle.verify_identities(2, 1, "abc"), InvalidInput, id="identity-seed-string"),
+    pytest.param(lambda: polyoracle.verify_identities(2, 1, True), InvalidInput, id="identity-seed-bool"),
+    pytest.param(lambda: sample_dissipativity(helpers.dirichlet_m2(), 1, 1.0), InvalidInput, id="sample-seed-float"),
+    pytest.param(lambda: sample_dissipativity(helpers.dirichlet_m2(), 1, None), InvalidInput, id="sample-seed-none"),
+    pytest.param(lambda: sample_dissipativity(helpers.dirichlet_m2(), 1, "abc"), InvalidInput, id="sample-seed-string"),
+    pytest.param(lambda: sample_dissipativity(helpers.dirichlet_m2(), 1, True), InvalidInput, id="sample-seed-bool"),
+    pytest.param(lambda: polyoracle.random_rational_complex(0, "t", 1.25), InvalidInput, id="random-index-fraction"),
+    pytest.param(lambda: polyoracle.random_rational_complex(0, "t", 1.0), InvalidInput, id="random-index-float"),
+    pytest.param(lambda: polyoracle.random_rational_complex(1.0, "t", 0), InvalidInput, id="random-seed-float"),
+    pytest.param(lambda: polyoracle.random_rational_complex(None, "t", 0), InvalidInput, id="random-seed-none"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(2, 1.0, 0), InvalidInput, id="random-vector-seed-float"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(2, "abc", 0), InvalidInput, id="random-vector-seed-string"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(2, True, 0), InvalidInput, id="random-vector-seed-bool"),
+    pytest.param(lambda: polyoracle.random_boundary_vector(2, 0, 1.0), InvalidInput, id="random-vector-index-float"),
     pytest.param(lambda: exact.boundary_form(True), BadShape, id="closed-form-order-bool"),
     pytest.param(lambda: BoundaryConditionSystem(2.0, [[1, 0, 0, 0], [0, 0, 1, 0]]), BadShape, id="system-order-float"),
     pytest.param(lambda: TolerancePolicy(rank_tol=1.0), InvalidInput, id="tolerance"),
@@ -130,3 +147,11 @@ def test_numpy_integers_are_counts_and_orders():
     assert sample_dissipativity(system, np.int64(3), 0) == sample_dissipativity(system, 3, 0)
     assert polyoracle.verify_identities(np.int32(2), np.int64(1), 0) == polyoracle.verify_identities(2, 1, 0)
     assert exact.boundary_form(np.int64(3)) == exact.boundary_form(3)
+
+
+def test_numpy_seeds_and_indices_keep_their_stream():
+    system = helpers.dirichlet_m2()
+    assert sample_dissipativity(system, 3, np.int64(7)) == sample_dissipativity(system, 3, 7)
+    assert polyoracle.verify_identities(2, 1, np.int32(7)) == polyoracle.verify_identities(2, 1, 7)
+    assert polyoracle.random_rational_complex(np.int64(1), "t", np.int32(3)) == polyoracle.random_rational_complex(1, "t", 3)
+    assert polyoracle.random_boundary_vector(2, np.int64(1), np.int64(4)) == polyoracle.random_boundary_vector(2, 1, 4)

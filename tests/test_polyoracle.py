@@ -25,6 +25,15 @@ from bca.polyoracle import (
 )
 
 
+@pytest.fixture(autouse=True)
+def fresh_differences():
+    # verify_identities keeps each order's D; tests that patch a target or
+    # F by name must neither read a D built before nor leave theirs behind
+    polyoracle._differences.cache_clear()
+    yield
+    polyoracle._differences.cache_clear()
+
+
 def qc(re, im=0):
     return RationalComplex(Fraction(re), Fraction(im))
 
@@ -536,6 +545,23 @@ class TestIdentitySuites:
         report = suite(m, sample_count=1, seed=21)
         assert report.passed is False
         assert report.max_defect == 0
+
+    def test_second_call_builds_no_difference(self, monkeypatch):
+        polyoracle.verify_identities(5, 2, 0)
+        calls = []
+        difference = polyoracle._difference
+        monkeypatch.setattr(polyoracle, "_difference", lambda *args: calls.append(args) or difference(*args))
+        polyoracle.verify_identities(5, 3, 7)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 7, 1001])
+    def test_cached_differences_report_as_fresh_ones(self, seed):
+        cached = [polyoracle.verify_identities(m, 4, seed) for m in range(1, 17) for _ in range(2)]
+        fresh = []
+        for m in range(1, 17):
+            polyoracle._differences.cache_clear()
+            fresh += [polyoracle.verify_identities(m, 4, seed)] * 2
+        assert cached == fresh
 
     def test_order_bounds(self):
         with pytest.raises(ValueError):
